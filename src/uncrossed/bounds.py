@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .core import PreconditionError, WeightedMultigraph
 from .covers import CoverOutcome, CoverSearch, dense_first_order
-from .planarity import skeleton_planar
+from .planarity import skeleton_outerplanar, skeleton_planar
 from .solver import NO_BUDGET, BudgetExhausted, SearchBudget, _Ticker
 
 
@@ -53,23 +53,15 @@ def _cover_value(g: WeightedMultigraph, predicate, budget: SearchBudget) -> Cove
     try:
         out: CoverOutcome = search.minimum(budget.max_drawings)
     except BudgetExhausted:
-        return CoverResult("unknown", None, 1, None, None)
+        return CoverResult("unknown", None, search.lower_bound, None, None)
     return CoverResult(out.status, out.value, out.lower_bound, out.upper_bound, out.parts)
-
-
-def _part_skeleton(g: WeightedMultigraph, part: frozenset[int]) -> frozenset:
-    skel = set()
-    for e in part:
-        u, v, _ = g.edges[e]
-        skel.add((u, v) if u < v else (v, u))
-    return frozenset(skel)
 
 
 def thickness(g: WeightedMultigraph, budget: SearchBudget = NO_BUDGET) -> CoverResult:
     """Least number of planar subgraphs whose union is all of G, exactly."""
 
     def planar_part(part: frozenset[int]) -> bool:
-        return skeleton_planar(_part_skeleton(g, part))
+        return skeleton_planar(g.skeleton(part))
 
     return _cover_value(g, planar_part, budget)
 
@@ -80,18 +72,9 @@ def outerthickness(g: WeightedMultigraph, budget: SearchBudget = NO_BUDGET) -> C
     A part is outerplanar iff the part plus an apex vertex joined to every
     vertex it touches is planar (vertices outside the part are irrelevant).
     """
-    apex = g.n
 
     def outerplanar_part(part: frozenset[int]) -> bool:
-        skel = set()
-        touched = set()
-        for e in part:
-            u, v, _ = g.edges[e]
-            skel.add((u, v) if u < v else (v, u))
-            touched.add(u)
-            touched.add(v)
-        skel.update((v, apex) for v in touched)
-        return skeleton_planar(frozenset(skel))
+        return skeleton_outerplanar(g.skeleton(part), g.n)
 
     return _cover_value(g, outerplanar_part, budget)
 

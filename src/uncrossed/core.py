@@ -10,7 +10,9 @@ to planarize the drawing and check it against a plane graph.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 
 class UncrossedError(Exception):
@@ -75,16 +77,45 @@ class WeightedMultigraph:
         u2, v2, _ = self.edges[f]
         return len({u1, v1, u2, v2}) == 4
 
-    def skeleton(self) -> frozenset[tuple[int, int]]:
-        """Distinct endpoint pairs, each as ``(min, max)``."""
-        return frozenset((u, v) if u < v else (v, u) for u, v, _ in self.edges)
+    def skeleton(self, edge_ids=None) -> frozenset[tuple[int, int]]:
+        """Distinct endpoint pairs, each as ``(min, max)``, of every edge or
+        of the edges ``edge_ids``."""
+        edges = self.edges if edge_ids is None else [self.edges[e] for e in edge_ids]
+        return frozenset((u, v) if u < v else (v, u) for u, v, _ in edges)
 
-    def incident_edges(self) -> list[list[int]]:
-        inc: list[list[int]] = [[] for _ in range(self.n)]
-        for eid, (u, v, _) in enumerate(self.edges):
-            inc[u].append(eid)
-            inc[v].append(eid)
-        return inc
+    def components(self, edge_ids=None):
+        """Connected components of (V, edge_ids), all edges by default.
+
+        Returns the components holding an edge, as (sorted vertex tuple,
+        sorted edge-id tuple) in order of smallest vertex, and the sorted
+        list of vertices no edge touches.
+        """
+        edges = self.edges
+        ids = range(self.m) if edge_ids is None else sorted(edge_ids)
+        parent: dict[int, int] = {}
+        for e in ids:
+            u, v, _ = edges[e]
+            parent[u] = u
+            parent[v] = v
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for e in ids:
+            u, v, _ = edges[e]
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+        groups: dict[int, tuple[list[int], list[int]]] = {}
+        for v in sorted(parent):
+            groups.setdefault(find(v), ([], []))[0].append(v)
+        for e in ids:
+            groups[find(edges[e][0])][1].append(e)
+        isolated = [v for v in range(self.n) if v not in parent]
+        return [(tuple(vs), tuple(es)) for vs, es in groups.values()], isolated
 
     def spanning_subgraph(self, edge_ids) -> "WeightedMultigraph":
         """Subgraph on all n vertices keeping the given edges, re-numbered.
@@ -136,9 +167,6 @@ class DrawingWitness:
     def orders_map(self) -> dict[int, tuple[int, ...]]:
         return dict(self.edge_orders)
 
-    def events_of_edge(self, eid: int) -> list[int]:
-        return [i for i, ev in enumerate(self.crossings) if eid in (ev.first, ev.second)]
-
     def cost(self, g: WeightedMultigraph) -> int:
         return sum(g.weight(ev.first) * g.weight(ev.second) for ev in self.crossings)
 
@@ -188,6 +216,50 @@ def make_drawing(g: WeightedMultigraph, events, orders=None) -> DrawingWitness:
             per_edge[eid] = want
     edge_orders = tuple((eid, tuple(per_edge[eid])) for eid in sorted(per_edge))
     return DrawingWitness(crossings=crossings, edge_orders=edge_orders)
+
+
+def chord_crossings(groups, parameter):
+    """Crossing events and per-edge orders of chords drawn inside regions.
+
+    Each group lists the chords that share one region as ``(eid, a, b,
+    ref_at_b)``: the edge, the boundary positions of its two ends, and
+    whether the edge's reference endpoint sits at ``b``.  Two chords of one
+    group cross when their ends interleave.  ``parameter(a1, b1, a2, b2)``
+    locates chord 1's crossing with chord 2, increasing from ``a1`` to
+    ``b1``.  Exact ties, where three chords meet in one point, are broken
+    by the same geometry with every position ``a`` moved to
+    ``a + a^2/10^9``, which separates the three crossings consistently.
+    Returns ``(events, orders)`` as :func:`make_drawing` takes them.
+    """
+    events = []
+    along: dict[int, list] = {}
+    ref_at_b = {}
+    for chords in groups:
+        for i, (e1, a1, b1, r1) in enumerate(chords):
+            ref_at_b[e1] = r1
+            lo1, hi1 = min(a1, b1), max(a1, b1)
+            for e2, a2, b2, _ in chords[i + 1 :]:
+                lo2, hi2 = min(a2, b2), max(a2, b2)
+                if lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1:
+                    events.append((e1, e2))
+                    spot1, spot2 = (a1, b1, a2, b2), (a2, b2, a1, b1)
+                    along.setdefault(e1, []).append((parameter(*spot1), spot1, e1, e2))
+                    along.setdefault(e2, []).append((parameter(*spot2), spot2, e1, e2))
+    orders = {}
+    for eid, hits in along.items():
+        if len(hits) < 2:
+            continue
+        hits.sort(key=lambda h: h[0])
+        ordered = []
+        for _, run in itertools.groupby(hits, key=lambda h: h[0]):
+            run = list(run)
+            if len(run) > 1:
+                run.sort(key=lambda h: parameter(*(x + Fraction(x * x, 10**9) for x in h[1])))
+            ordered += run
+        if ref_at_b[eid]:
+            ordered.reverse()
+        orders[eid] = [(e, f) for _, _, e, f in ordered]
+    return events, orders
 
 
 def subdivide(g: WeightedMultigraph, s: int) -> WeightedMultigraph:

@@ -31,8 +31,13 @@ from .planarity import (
     build_embedding,
     component_faces,
     planar_rotations_of_component,
+    rotation_from_succ,
+    skeleton_outerplanar,
     skeleton_planar,
 )
+
+#: Rotation systems one context may try before its answers turn "unknown".
+ROTATION_BUDGET = 5_000_000
 
 
 def _three_connected(g: WeightedMultigraph, vertices, edges) -> bool:
@@ -130,24 +135,13 @@ class RealizabilityContext:
     enumeration once.
     """
 
-    def __init__(self, g: WeightedMultigraph, rotation_cap: int | None = 5_000_000):
+    def __init__(self, g: WeightedMultigraph):
         self.g = g
-        self.rotation_cap = rotation_cap
         self.rotations_spent = 0
         self.profile_cache: dict[frozenset[int], list | None] = {}
-        self.g_pairs = {
-            (u, v) if u < v else (v, u) for u, v, _ in g.edges
-        }
+        self.g_pairs = g.skeleton()
 
     # -- cheap necessary conditions ------------------------------------
-
-    def part_skeleton(self, part) -> frozenset[tuple[int, int]]:
-        g = self.g
-        skel = set()
-        for e in part:
-            u, v, _ = g.edges[e]
-            skel.add((u, v) if u < v else (v, u))
-        return frozenset(skel)
 
     def pairs_insertable(self, part: frozenset[int]) -> bool:
         """Planarity plus: every required pair embeds planarly on its own.
@@ -159,12 +153,12 @@ class RealizabilityContext:
         components side by side with the endpoints outward), so only pairs
         inside one component are tested.
         """
-        skel = self.part_skeleton(part)
+        skel = self.g.skeleton(part)
         if not skeleton_planar(skel):
             return False
         if len(skel) + 1 <= 8:
             return True  # any single addition stays too small to matter
-        comps, _ = self.subset_components(part)
+        comps, _ = self.g.components(part)
         comp_of = {}
         for ci, (vs, _) in enumerate(comps):
             for v in vs:
@@ -182,49 +176,7 @@ class RealizabilityContext:
     def required_pairs(self, skel) -> list[tuple[int, int]]:
         return sorted(self.g_pairs - skel)
 
-    # -- components and face profiles ----------------------------------
-
-    def subset_components(self, part):
-        """Connected components of (V, part) in original edge ids.
-
-        Nontrivial components come as (vertex tuple, edge tuple); isolated
-        vertices are reported separately.
-        """
-        g = self.g
-        parent: dict[int, int] = {}
-
-        def find(x):
-            root = x
-            while parent.get(root, root) != root:
-                root = parent[root]
-            while parent.get(x, x) != x:
-                parent[x], x = root, parent[x]
-            return root
-
-        for e in part:
-            u, v, _ = g.edges[e]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-        groups: dict[int, list[int]] = {}
-        touched = set()
-        for e in part:
-            u, v, _ = g.edges[e]
-            touched.add(u)
-            touched.add(v)
-        for v in sorted(touched):
-            groups.setdefault(find(v), []).append(v)
-        comps = sorted(groups.values(), key=min)
-        root_of = {min(vs): i for i, vs in enumerate(comps)}
-        edge_lists: list[list[int]] = [[] for _ in comps]
-        for e in sorted(part):
-            u, _, _ = g.edges[e]
-            edge_lists[root_of[min(groups[find(u)])]].append(e)
-        isolated = [v for v in range(g.n) if v not in touched]
-        return (
-            [(tuple(vs), tuple(es)) for vs, es in zip(comps, edge_lists)],
-            isolated,
-        )
+    # -- face profiles -------------------------------------------------
 
     def profiles(self, vertices, edges, within):
         """Rotations of one component hosting all its required pairs.
@@ -241,7 +193,7 @@ class RealizabilityContext:
             return self.profile_cache[key]
         g = self.g
         candidates = None
-        if len(edges) == len({(min(g.endpoints(e)), max(g.endpoints(e))) for e in edges}):
+        if len(edges) == len(g.skeleton(edges)):
             if _three_connected(g, vertices, edges):
                 succ = _single_lr_rotation(g, vertices, edges)
                 candidates = [succ]
@@ -250,9 +202,7 @@ class RealizabilityContext:
         count = 0
         exceeded = False
         if candidates is None:
-            budget = None
-            if self.rotation_cap is not None:
-                budget = self.rotation_cap - self.rotations_spent
+            budget = ROTATION_BUDGET - self.rotations_spent
             candidates = planar_rotations_of_component(g, vertices, edges, half=True)
         else:
             budget = None
@@ -284,16 +234,16 @@ class RealizabilityContext:
     def realizable(self, edge_ids, want_certificate: bool = False) -> RealizabilityResult:
         g = self.g
         s = frozenset(edge_ids)
-        skel = self.part_skeleton(s)
+        skel = g.skeleton(s)
         if not skeleton_planar(skel):
             return RealizabilityResult("no")
-        if not want_certificate and _outerplanar_skeleton(skel, g.n):
+        if not want_certificate and skeleton_outerplanar(skel, g.n):
             return RealizabilityResult("yes")
         if not self.pairs_insertable(s):
             return RealizabilityResult("no")
 
         pairs = self.required_pairs(skel)
-        comps, isolated = self.subset_components(s)
+        comps, isolated = g.components(s)
         comp_of = {}
         for ci, (vs, _) in enumerate(comps):
             for v in vs:
@@ -307,7 +257,7 @@ class RealizabilityContext:
                 within[cu].append((u, v))
             else:
                 cross.append((u, v))
-        groups, group_req, hard_cross = _iso_groups(cross, comp_of, isolated)
+        groups, group_req, hard_cross = _iso_groups(g.n, cross, isolated)
 
         if not comps:
             # no edges at all: one unbounded region holds everything
@@ -370,10 +320,7 @@ class RealizabilityContext:
 
 
 def realizable_uncrossed_set(
-    g: WeightedMultigraph,
-    edge_ids,
-    want_certificate: bool = True,
-    rotation_cap: int | None = 5_000_000,
+    g: WeightedMultigraph, edge_ids, want_certificate: bool = True
 ) -> RealizabilityResult:
     """Decide whether some drawing of G leaves every edge of S uncrossed.
 
@@ -383,26 +330,14 @@ def realizable_uncrossed_set(
     An outerplanar (V, S) is realizable outright: draw it with every vertex
     on the outer face and route all other edges out there.
     """
-    ctx = RealizabilityContext(g, rotation_cap=rotation_cap)
-    return ctx.realizable(edge_ids, want_certificate=want_certificate)
-
-
-def pairs_insertable(g: WeightedMultigraph, part: frozenset[int]) -> bool:
-    return RealizabilityContext(g).pairs_insertable(frozenset(part))
+    return RealizabilityContext(g).realizable(edge_ids, want_certificate=want_certificate)
 
 
 def required_pairs(g: WeightedMultigraph, s: frozenset[int]) -> set[tuple[int, int]]:
-    ctx = RealizabilityContext(g)
-    return set(ctx.required_pairs(ctx.part_skeleton(frozenset(s))))
+    return set(g.skeleton() - g.skeleton(s))
 
 
-def _outerplanar_skeleton(skel: frozenset[tuple[int, int]], n: int) -> bool:
-    touched = {v for p in skel for v in p}
-    apex = n
-    return skeleton_planar(skel | frozenset((v, apex) for v in touched))
-
-
-def _iso_groups(cross, comp_of, isolated):
+def _iso_groups(n, cross, isolated):
     """Group isolated vertices forced into one region, with their needs.
 
     Returns (groups: root vertex -> member vertices, group_req: root -> set
@@ -424,21 +359,9 @@ def _iso_groups(cross, comp_of, isolated):
         else:
             hard_cross.append((u, v))
 
-    group_of = {v: v for v in isolated}
-
-    def find(x):
-        while group_of[x] != x:
-            group_of[x] = group_of[group_of[x]]
-            x = group_of[x]
-        return x
-
-    for a, b in same_region:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            group_of[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for v in isolated:
-        groups.setdefault(find(v), []).append(v)
+    joined, alone = WeightedMultigraph(n, tuple((a, b, 1) for a, b in same_region)).components()
+    groups = {vs[0]: list(vs) for vs, _ in joined}
+    groups.update((v, [v]) for v in alone if v in iso_set)
     group_req = {
         root: set().union(*(iso_partner[v] for v in members))
         for root, members in groups.items()
@@ -548,19 +471,7 @@ def _build_certificate(ctx, s, comps, chosen, shown, parents, iso_placement):
 
     rotation: list[tuple[int, ...]] = [() for _ in range(sub.n)]
     for ci, (succ, _) in chosen.items():
-        vs, es = comps[ci]
-        at_vertex: dict[int, list[int]] = {v: [] for v in vs}
-        for eid in es:
-            u, v, _ = g.edges[eid]
-            at_vertex[u].append(2 * eid)
-            at_vertex[v].append(2 * eid + 1)
-        for v in vs:
-            ds = sorted(at_vertex[v])
-            if not ds:
-                continue
-            cycle = [ds[0]]
-            while len(cycle) < len(ds):
-                cycle.append(succ[cycle[-1]])
+        for v, cycle in rotation_from_succ(g, *comps[ci], succ).items():
             rotation[v] = tuple(tr(d) for d in cycle)
 
     # component order in the sub graph: by smallest vertex, isolated included
@@ -623,31 +534,21 @@ class CoverSearch:
     """Minimum number of feasible edge sets covering all of E(G).
 
     ``feasible(part)`` must be exact (True / False / None for unknown) and
-    closed under subsets.  ``necessary(part)`` is an optional cheap filter
-    implied by feasibility of any superset; ``deep_sizes`` lists part sizes
-    at which the exact predicate also runs during the search (it always runs
-    on complete parts).
+    closed under subsets; it runs on every partial part, so a part no
+    superset of which is feasible is abandoned at once.  ``lower_bound`` is
+    the least part count not yet ruled out by an exhausted level, also
+    after a budget interrupts :meth:`minimum`.
     """
 
-    def __init__(
-        self,
-        g: WeightedMultigraph,
-        feasible,
-        necessary=None,
-        deep_sizes=None,
-        ticker=None,
-        edge_order=None,
-    ):
+    def __init__(self, g: WeightedMultigraph, feasible, ticker=None, edge_order=None):
         self.g = g
         self.feasible = feasible
-        self.necessary = necessary
-        self.deep_sizes = deep_sizes
         self.ticker = ticker
         self.edge_order = list(edge_order) if edge_order is not None else list(range(g.m))
         self.cache: dict[frozenset[int], bool | None] = {}
-        self.necessary_cache: dict[frozenset[int], bool] = {}
         self.saw_unknown = False
         self.nodes = 0
+        self.lower_bound = 1
 
     def feasible_cached(self, part: frozenset[int]):
         if part in self.cache:
@@ -658,19 +559,6 @@ class CoverSearch:
         if ans is None:
             self.saw_unknown = True
         return ans
-
-    def _may_extend(self, part: frozenset[int]) -> bool:
-        """False only when no superset of part can be feasible."""
-        if self.necessary is not None:
-            hit = self.necessary_cache.get(part)
-            if hit is None:
-                hit = self.necessary(part)
-                self.necessary_cache[part] = hit
-            if not hit:
-                return False
-            if self.deep_sizes is not None and len(part) not in self.deep_sizes:
-                return True
-        return self.feasible_cached(part) is not False
 
     def cover_with(self, c: int) -> tuple[frozenset[int], ...] | None:
         """First partition of E into at most c feasible parts, else None."""
@@ -694,7 +582,7 @@ class CoverSearch:
                 if opened:
                     parts.append(set())
                 parts[i].add(eid)
-                if self._may_extend(frozenset(parts[i])):
+                if self.feasible_cached(frozenset(parts[i])) is not False:
                     got = place(depth + 1)
                     if got is not None:
                         return got
@@ -706,16 +594,15 @@ class CoverSearch:
         return place(0)
 
     def minimum(self, max_parts: int | None = None) -> CoverOutcome:
-        lower = 1
         c = 1
         while True:
             if (max_parts is not None and c > max_parts) or c > max(1, self.g.m):
-                return CoverOutcome("unknown", None, lower, None, None)
+                return CoverOutcome("unknown", None, self.lower_bound, None, None)
             got = self.cover_with(c)
             if got is not None:
-                if lower == c:
+                if self.lower_bound == c:
                     return CoverOutcome("exact", c, c, c, got)
-                return CoverOutcome("unknown", None, lower, c, got)
+                return CoverOutcome("unknown", None, self.lower_bound, c, got)
             if not self.saw_unknown:
-                lower = c + 1
+                self.lower_bound = c + 1
             c += 1

@@ -20,6 +20,7 @@ from .core import (
     DrawingWitness,
     UncrossedError,
     WeightedMultigraph,
+    WitnessStructureError,
 )
 
 
@@ -119,37 +120,44 @@ def witness_to_document(
 def witness_from_document(doc: dict, base_dir=None):
     """Returns (CollectionWitness, WeightedMultigraph).
 
-    ``graph_ref`` paths resolve relative to ``base_dir``.
+    ``graph_ref`` paths resolve relative to ``base_dir``.  A document with
+    missing fields, wrongly typed values or an inconsistent structure
+    raises :class:`ParseError`.
     """
-    if "graph" in doc:
-        gd = doc["graph"]
-        graph = WeightedMultigraph(
-            int(gd["n"]), tuple((int(u), int(v), int(w)) for u, v, w in gd["edges"])
-        )
-    elif "graph_ref" in doc:
-        ref = Path(doc["graph_ref"])
-        if base_dir is not None and not ref.is_absolute():
-            ref = Path(base_dir) / ref
-        graph = load_graph(ref)
-    else:
-        raise ParseError("witness document needs 'graph' or 'graph_ref'")
-    drawings = []
-    for dd in doc.get("drawings", []):
-        crossings = tuple(
-            CrossingEvent(int(c["e"]), int(c["f"])) for c in dd.get("crossings", [])
-        )
-        orders = tuple(
-            sorted(
-                (int(eid), tuple(int(i) for i in seq))
-                for eid, seq in dd.get("edge_orders", {}).items()
-            )
-        )
-        drawings.append(DrawingWitness(crossings=crossings, edge_orders=orders))
     if "declared_cost" not in doc:
         raise ParseError("witness document needs 'declared_cost'")
-    witness = CollectionWitness(
-        drawings=tuple(drawings), declared_cost=int(doc["declared_cost"])
-    )
+    try:
+        if "graph" in doc:
+            gd = doc["graph"]
+            graph = WeightedMultigraph(
+                int(gd["n"]), tuple((int(u), int(v), int(w)) for u, v, w in gd["edges"])
+            )
+        elif "graph_ref" in doc:
+            ref = Path(doc["graph_ref"])
+            if base_dir is not None and not ref.is_absolute():
+                ref = Path(base_dir) / ref
+            graph = load_graph(ref)
+        else:
+            raise ParseError("witness document needs 'graph' or 'graph_ref'")
+        drawings = []
+        for dd in doc.get("drawings", []):
+            crossings = tuple(
+                CrossingEvent(int(c["e"]), int(c["f"])) for c in dd.get("crossings", [])
+            )
+            orders = tuple(
+                sorted(
+                    (int(eid), tuple(int(i) for i in seq))
+                    for eid, seq in dd.get("edge_orders", {}).items()
+                )
+            )
+            drawings.append(DrawingWitness(crossings=crossings, edge_orders=orders))
+        witness = CollectionWitness(
+            drawings=tuple(drawings), declared_cost=int(doc["declared_cost"])
+        )
+    except KeyError as exc:
+        raise ParseError(f"witness document is missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError, WitnessStructureError) as exc:
+        raise ParseError(f"malformed witness document: {exc}") from None
     return witness, graph
 
 

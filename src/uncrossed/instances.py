@@ -15,6 +15,7 @@ from .core import (
     CollectionWitness,
     PreconditionError,
     WeightedMultigraph,
+    chord_crossings,
     make_drawing,
 )
 from .planarity import is_planar
@@ -99,6 +100,9 @@ def rotating_path_collection(n: int) -> CollectionWitness:
     of the left endpoint's position.  Rotating the path ceil(n/2) times
     covers every edge, and crossings follow combinatorially from the
     two-page layout (orders from exact arc-intersection coordinates).
+    From n = 13 on, three semicircles can pass through one point; such
+    triple points are resolved by moving every foot at position a to
+    a + a^2/10^9, as :func:`~uncrossed.core.chord_crossings` does.
     """
     if n < 5:
         raise PreconditionError("rotating_path_collection needs n >= 5")
@@ -112,47 +116,22 @@ def rotating_path_collection(n: int) -> CollectionWitness:
     for s in range(-(-n // 2)):
         spine = [(v + s) % n for v in base]
         pos = {v: i + 1 for i, v in enumerate(spine)}  # 1-based positions
-        arcs = []  # (edge id, left pos, right pos, page)
+        pages: tuple[list, list] = ([], [])  # chords above and below the spine
         for (u, v), e in eid.items():
             pu, pv = pos[u], pos[v]
             if pu > pv:
                 pu, pv = pv, pu
             if pv == pu + 1:
                 continue  # spine edge, drawn on the line
-            arcs.append((e, pu, pv, pu % 2))
-        events = []
-        crossers: dict[int, list] = {}
-        for i in range(len(arcs)):
-            e1, a1, b1, p1 = arcs[i]
-            for j in range(i + 1, len(arcs)):
-                e2, a2, b2, p2 = arcs[j]
-                if p1 != p2:
-                    continue
-                if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
-                    events.append((e1, e2))
-                    x = _arc_crossing_x(a1, b1, a2, b2)
-                    crossers.setdefault(e1, []).append((x, e1, e2))
-                    crossers.setdefault(e2, []).append((x, e1, e2))
-        orders = {}
-        arc_span = {e: (a, b) for e, a, b, _ in arcs}
-        for e, hits in crossers.items():
-            if len(hits) < 2:
-                continue
-            hits.sort(key=lambda t: t[0])
-            u, v, _ = g.edges[e]
-            ref = min(u, v)
-            left_pos, _ = arc_span[e]
-            # x increases monotonically along the semicircle from its left
-            # foot; flip when the reference endpoint is the right foot
-            if pos[ref] != left_pos:
-                hits = hits[::-1]
-            orders[e] = [(a, b) for _, a, b in hits]
+            # x runs along the semicircle from its left foot
+            pages[pu % 2].append((e, pu, pv, pos[min(u, v)] != pu))
+        events, orders = chord_crossings(pages, _arc_crossing_x)
         drawings.append(make_drawing(g, events, orders))
     total = sum(d.cost(g) for d in drawings)
     return CollectionWitness(drawings=tuple(drawings), declared_cost=total)
 
 
-def _arc_crossing_x(a1: int, b1: int, a2: int, b2: int) -> Fraction:
+def _arc_crossing_x(a1, b1, a2, b2) -> Fraction:
     c1, r1 = Fraction(a1 + b1, 2), Fraction(b1 - a1, 2)
     c2, r2 = Fraction(a2 + b2, 2), Fraction(b2 - a2, 2)
     return (r1 * r1 - r2 * r2 - c1 * c1 + c2 * c2) / (2 * (c2 - c1))

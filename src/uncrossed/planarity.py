@@ -27,6 +27,9 @@ from .core import (
 #: Enumeration refuses subgraphs with more edges than this unless overridden.
 DEFAULT_EDGE_CAP = 16
 
+#: Rotation systems one component may try during embedding enumeration.
+EMBEDDING_ROTATION_CAP = 2_000_000
+
 _skeleton_cache: dict[frozenset[tuple[int, int]], bool] = {}
 
 
@@ -51,6 +54,15 @@ def skeleton_planar(skeleton: frozenset[tuple[int, int]]) -> bool:
 def graph_planar(g: WeightedMultigraph) -> bool:
     """Fast planarity verdict (parallel edges cannot change it)."""
     return skeleton_planar(g.skeleton())
+
+
+def skeleton_outerplanar(skeleton: frozenset[tuple[int, int]], apex: int) -> bool:
+    """Outerplanarity of a simple graph whose vertex ids are below ``apex``.
+
+    Decided as planarity of the graph plus vertex ``apex`` joined to every
+    vertex an edge touches (vertices no edge touches are irrelevant).
+    """
+    return skeleton_planar(skeleton | {(v, apex) for p in skeleton for v in p})
 
 
 @dataclass(frozen=True)
@@ -110,38 +122,34 @@ def components_of(g: WeightedMultigraph) -> list[tuple[tuple[int, ...], tuple[in
 
     Components are sorted by smallest vertex id.
     """
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v, _ in g.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(find(v), []).append(v)
-    comps = sorted(groups.values(), key=min)
-    vertex_comp = {}
-    for i, vs in enumerate(comps):
-        for v in vs:
-            vertex_comp[v] = i
-    edge_lists: list[list[int]] = [[] for _ in comps]
-    for eid, (u, _, _) in enumerate(g.edges):
-        edge_lists[vertex_comp[u]].append(eid)
-    return [(tuple(vs), tuple(es)) for vs, es in zip(comps, edge_lists)]
+    comps, isolated = g.components()
+    return sorted(comps + [((v,), ()) for v in isolated])
 
 
-def _vertex_darts(g: WeightedMultigraph) -> dict[int, list[int]]:
-    darts: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    for eid, (u, v, _) in enumerate(g.edges):
-        darts[u].append(2 * eid)
-        darts[v].append(2 * eid + 1)
-    return darts
+def _darts_at(g: WeightedMultigraph, vertices, edges) -> dict[int, list[int]]:
+    """Darts of one component at each of its vertices."""
+    at_vertex: dict[int, list[int]] = {v: [] for v in vertices}
+    for eid in edges:
+        u, v, _ = g.edges[eid]
+        at_vertex[u].append(2 * eid)
+        at_vertex[v].append(2 * eid + 1)
+    return at_vertex
+
+
+def rotation_from_succ(g: WeightedMultigraph, vertices, edges, succ) -> dict[int, tuple[int, ...]]:
+    """Per-vertex dart cycles of one component's dart -> next-dart map.
+
+    Each cycle starts at the vertex's smallest dart; vertices without
+    darts are left out.
+    """
+    rotation = {}
+    for v, ds in _darts_at(g, vertices, edges).items():
+        if ds:
+            cycle = [min(ds)]
+            while len(cycle) < len(ds):
+                cycle.append(succ[cycle[-1]])
+            rotation[v] = tuple(cycle)
+    return rotation
 
 
 def _orbit_walks(darts: list[int], succ: dict[int, int]) -> list[tuple[int, ...]]:
@@ -182,11 +190,7 @@ def planar_rotations_of_component(
     in one direction), which is enough whenever only face vertex sets
     matter.  ``rotation_cap`` bounds the candidates tried.
     """
-    at_vertex: dict[int, list[int]] = {v: [] for v in vertices}
-    for eid in edges:
-        u, v, _ = g.edges[eid]
-        at_vertex[u].append(2 * eid)
-        at_vertex[v].append(2 * eid + 1)
+    at_vertex = _darts_at(g, vertices, edges)
     n_c, m_c = len(vertices), len(edges)
     if m_c == 0:
         yield {}
@@ -303,14 +307,8 @@ def is_planar(g: WeightedMultigraph) -> PlanarityResult:
 
 
 def is_outerplanar(g: WeightedMultigraph) -> bool:
-    """True iff some planar embedding has every vertex on one face.
-
-    Decided as planarity of the graph plus an apex joined to all vertices.
-    """
-    apex = g.n
-    pairs = set(g.skeleton())
-    pairs.update((v, apex) for v in range(g.n))
-    return skeleton_planar(frozenset(pairs))
+    """True iff some planar embedding has every vertex on one face."""
+    return skeleton_outerplanar(g.skeleton(), g.n)
 
 
 def faces(embedding: Embedding) -> tuple[Face, ...]:
@@ -505,11 +503,7 @@ def _decompose_embedding(e, comps, originals):
     return tuple(outer_choice), tuple(parents)
 
 
-def enumerate_embeddings(
-    g: WeightedMultigraph,
-    max_edges: int = DEFAULT_EDGE_CAP,
-    rotation_cap: int | None = 2_000_000,
-):
+def enumerate_embeddings(g: WeightedMultigraph, max_edges: int = DEFAULT_EDGE_CAP):
     """Yield every combinatorial embedding of planar g, up to reflection.
 
     Covers all rotation systems, all outer-face choices and all nestings of
@@ -526,7 +520,7 @@ def enumerate_embeddings(
     for vs, es in comps:
         snapshots = []
         for succ in planar_rotations_of_component(
-            g, vs, es, rotation_cap=rotation_cap, half=True
+            g, vs, es, rotation_cap=EMBEDDING_ROTATION_CAP, half=True
         ):
             snapshots.append(list(succ) if es else {})
         per_comp_rotations.append(snapshots)
@@ -535,24 +529,12 @@ def enumerate_embeddings(
     for rots in itertools.product(*per_comp_rotations):
         rotation: list[tuple[int, ...]] = [() for _ in range(g.n)]
         for succ_c, (vs, es) in zip(rots, comps):
-            at_vertex: dict[int, list[int]] = {v: [] for v in vs}
-            for eid in es:
-                u, v, _ = g.edges[eid]
-                at_vertex[u].append(2 * eid)
-                at_vertex[v].append(2 * eid + 1)
-            for v in vs:
-                ds = sorted(at_vertex[v])
-                if not ds:
-                    continue
-                cycle = [ds[0]]
-                while len(cycle) < len(ds):
-                    cycle.append(succ_c[cycle[-1]])
-                rotation[v] = tuple(cycle)
+            for v, cycle in rotation_from_succ(g, vs, es, succ_c).items():
+                rotation[v] = cycle
         rotation_t = tuple(rotation)
         succ = _rotation_to_succ(rotation_t)
         local = [component_faces(g, vs, es, succ) for vs, es in comps]
 
-        inner_slots: list[list[tuple[int, int]]] = []
         for outers in itertools.product(*(range(len(lf)) for lf in local)):
             slot_lists = []
             for ci in range(len(comps)):
@@ -579,7 +561,6 @@ def enumerate_embeddings(
 
 def _acyclic(parents) -> bool:
     for start in range(len(parents)):
-        slow = start
         steps = 0
         cur = parents[start]
         while cur is not None:

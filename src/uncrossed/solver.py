@@ -22,6 +22,7 @@ from .core import (
     PreconditionError,
     WeightedMultigraph,
     WitnessStructureError,
+    chord_crossings,
     make_drawing,
     planarize,
     subdivide,
@@ -305,10 +306,7 @@ class _DrawingSearch:
             return self.cover_memo[key]
         g = self.g
         cap = max(1, 3 * g.n - 6)
-        skel_uncovered = {
-            tuple(sorted(g.endpoints(e))) for e in uncovered
-        }
-        need = -(-len(skel_uncovered) // cap)
+        need = -(-len(g.skeleton(uncovered)) // cap)
         if need > c_left:
             self.cover_memo[key] = None
             return None
@@ -460,36 +458,28 @@ def uncrossed_crossing_number(
         k += 1
 
 
-def uncrossed_number(
-    g: WeightedMultigraph,
-    budget: SearchBudget = NO_BUDGET,
-    deep_sizes=None,
-    rotation_cap: int | None = 5_000_000,
-) -> UncResult:
+def uncrossed_number(g: WeightedMultigraph, budget: SearchBudget = NO_BUDGET) -> UncResult:
     """Least number of drawings in an uncrossed collection, by exact set
     covering with realizable uncrossed sets.
 
-    ``deep_sizes`` optionally lists partial-part sizes at which the full
-    realizability test runs during the search (cheap necessary conditions
-    always run); complete parts are always fully tested.
+    Realizability is tested on every partial part, so the search abandons
+    a part as soon as no superset of it can be realizable.  When the
+    budget runs out, the lower bound is the least drawing count that no
+    exhausted level has ruled out.
     """
     ticker = _Ticker(budget)
-    ctx = RealizabilityContext(g, rotation_cap=rotation_cap)
+    ctx = RealizabilityContext(g)
 
     def feasible(part: frozenset[int]):
         res = ctx.realizable(part)
         return {"yes": True, "no": False, "unknown": None}[res.status]
 
-    necessary = ctx.pairs_insertable if deep_sizes is not None else None
-    cover = CoverSearch(
-        g, feasible, necessary=necessary, deep_sizes=deep_sizes,
-        ticker=ticker, edge_order=dense_first_order(g),
-    )
+    cover = CoverSearch(g, feasible, ticker=ticker, edge_order=dense_first_order(g))
     try:
         out = cover.minimum(budget.max_drawings)
     except BudgetExhausted:
         return UncResult(
-            "unknown", None, 1, None, None, len(cover.cache), cover.nodes
+            "unknown", None, cover.lower_bound, None, None, len(cover.cache), cover.nodes
         )
     certificates = None
     if out.parts is not None:
@@ -530,8 +520,6 @@ def collection_from_certificates(
         return _trivial_planar_witness(g)
     drawings = []
     for cert in certificates:
-        part = set(cert.edge_subset)
-        sub_ids = sorted(part)
         emb = cert.embedding
         sub = emb.graph
         # boundary sequence per face: walk vertices then floating vertices
@@ -544,39 +532,16 @@ def collection_from_certificates(
                 if v not in seq:
                     seq.append(v)
             face_seq[f.id] = seq
-        hosted = dict(cert.hosting)
-        chords: dict[int, list[tuple[int, Fraction, Fraction]]] = {}
-        for eid, fid in hosted.items():
+        chords: dict[int, list] = {}
+        for eid, fid in cert.hosting:
             seq = face_seq[fid]
-            u, v, _ = g.edges[eid]
-            pu, pv = seq.index(u), seq.index(v)
-            chords.setdefault(fid, []).append((eid, Fraction(pu), Fraction(pv)))
-        events = []
-        along: dict[int, list[tuple[Fraction, int, int]]] = {}
-        for fid, lst in chords.items():
-            for i in range(len(lst)):
-                e1, a1, b1 = lst[i]
-                lo1, hi1 = min(a1, b1), max(a1, b1)
-                for j in range(i + 1, len(lst)):
-                    e2, a2, b2 = lst[j]
-                    lo2, hi2 = min(a2, b2), max(a2, b2)
-                    if lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1:
-                        events.append((e1, e2))
-                        t1 = _parabola_parameter(a1, b1, a2, b2)
-                        t2 = _parabola_parameter(a2, b2, a1, b1)
-                        along.setdefault(e1, []).append((t1, e1, e2))
-                        along.setdefault(e2, []).append((t2, e1, e2))
-        orders = {}
-        for eid, hits in along.items():
-            if len(hits) < 2:
-                continue
-            hits.sort(key=lambda h: h[0])
             u, v, _ = g.edges[eid]
             # the parameter runs from u's position; traversal order starts
             # at the reference endpoint (the smaller vertex id)
-            if min(u, v) == v:
-                hits = hits[::-1]
-            orders[eid] = [(a, b) for _, a, b in hits]
+            chords.setdefault(fid, []).append(
+                (eid, Fraction(seq.index(u)), Fraction(seq.index(v)), v < u)
+            )
+        events, orders = chord_crossings(chords.values(), _parabola_parameter)
         drawings.append(make_drawing(g, events, orders))
     drawings.sort(key=lambda d: tuple(ev.pair() for ev in d.crossings))
     total = sum(d.cost(g) for d in drawings)

@@ -38,7 +38,9 @@ def test_cover_value_one_iff_predicate_holds():
 
 def test_thickness_budget_unknown(k7):
     res = thickness(k7, SearchBudget(max_nodes=2))
-    assert res.status == "unknown"
+    assert res.status == "unknown" and res.lower_bound == 1
+    # one planar part is ruled out before the budget trips
+    assert thickness(k7, SearchBudget(max_nodes=10)).lower_bound == 2
 
 
 def test_sandwich_chain_on_small_graphs(k5, k33):

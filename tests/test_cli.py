@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from uncrossed.cli import main
 from uncrossed.files import load_graph, save_graph
 from uncrossed.instances import complete
@@ -11,6 +13,44 @@ def run(capsys, *argv):
     return code, dict(
         line.split("=", 1) for line in out.strip().splitlines() if "=" in line
     )
+
+
+def _crossing_without_f(doc):
+    del doc["drawings"][0]["crossings"][0]["f"]
+
+
+def _crossing_of_one_edge(doc):
+    c = doc["drawings"][0]["crossings"][0]
+    c["f"] = c["e"]
+
+
+def _no_drawings(doc):
+    doc["drawings"] = []
+
+
+def _text_cost(doc):
+    doc["declared_cost"] = "x"
+
+
+def _graph_without_edges(doc):
+    del doc["graph"]["edges"]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_crossing_without_f, _crossing_of_one_edge, _no_drawings, _text_cost, _graph_without_edges],
+)
+def test_verify_malformed_witness_exits_3(tmp_path, capsys, corrupt):
+    k5 = str(tmp_path / "k5.txt")
+    w = tmp_path / "w.json"
+    run(capsys, "gen", "complete", "5", "--out", k5)
+    run(capsys, "solve", "--mode", "ucrk", "--c", "2", "--k", "2", "--input", k5, "--witness", str(w))
+    doc = json.loads(w.read_text())
+    corrupt(doc)
+    w.write_text(json.dumps(doc))
+    assert main(["verify", "--input", k5, "--witness", str(w)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_gen_solve_verify_render_pipeline(tmp_path, capsys):

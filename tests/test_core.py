@@ -1,6 +1,9 @@
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uncrossed.core import (
     PreconditionError,
@@ -31,6 +34,34 @@ def test_parallel_edges_are_distinct():
     g = WeightedMultigraph(2, ((0, 1, 1), (0, 1, 1)))
     assert g.m == 2
     assert not g.independent(0, 1)
+
+
+@st.composite
+def graphs_with_edge_subsets(draw):
+    """Multigraphs on at most 8 vertices and 14 edges, parallel edges
+    included, with one subset of their edge ids."""
+    n = draw(st.integers(2, 8))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]), max_size=14))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return graph_from_edges(n, pairs), [e for e, k in enumerate(keep) if k]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(graphs_with_edge_subsets())
+def test_components_match_networkx(case):
+    g, part = case
+    h = nx.MultiGraph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.endpoints(e) for e in part)
+    groups = sorted(sorted(c) for c in nx.connected_components(h))
+    comps, isolated = g.components(part)
+    assert [vs for vs, _ in comps] == [tuple(c) for c in groups if len(c) > 1]
+    assert [list(es) for _, es in comps] == [
+        [e for e in part if g.endpoints(e)[0] in c] for c in groups if len(c) > 1
+    ]
+    assert isolated == [c[0] for c in groups if len(c) == 1]
+    assert g.components() == g.components(range(g.m))
 
 
 def test_subdivide_single_edge():

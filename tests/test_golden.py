@@ -122,7 +122,7 @@ def _witness_text(n: int) -> str:
 
 #: bulk outputs kept as digests only
 BULK = {
-    **{f"rotating_path_collection/n={n:02d}": (lambda n=n: _witness_text(n)) for n in range(5, 13)},
+    **{f"rotating_path_collection/n={n:02d}": (lambda n=n: _witness_text(n)) for n in range(5, 17)},
     "realizable/K5": lambda: realizable_text(complete(5)),
     "realizable/K3,3": lambda: realizable_text(complete_bipartite(3, 3)),
     "realizable/prism": lambda: realizable_text(triangular_prism()),

@@ -201,6 +201,12 @@ def test_unc_k5(k5):
     assert union == set(range(k5.m))
 
 
+def test_unc_budget_unknown_keeps_proven_level(k5):
+    # the one-drawing level is exhausted at cover node 6; node 17 trips the budget
+    res = uncrossed_number(k5, SearchBudget(max_nodes=16))
+    assert (res.status, res.lower_bound, res.nodes) == ("unknown", 2, 17)
+
+
 def test_unc_k33_and_k6(k33, k6):
     assert uncrossed_number(k33).value == 2
     assert uncrossed_number(k6).value == 2
