@@ -230,7 +230,9 @@ def _single_drawing_collection(g, drawing):
 
 def _cmd_verify(args) -> int:
     g = load_graph(args.input)
-    witness, _ = load_witness(args.witness)
+    witness, witness_graph = load_witness(args.witness)
+    if witness_graph != g:
+        raise UsageError("the witness is for a different graph than --input")
     res = verify_collection(g, witness)
     _emit("verdict", "accept" if res.accepted else "reject")
     if not res.accepted:

@@ -36,7 +36,8 @@ from .planarity import (
     skeleton_planar,
 )
 
-#: Rotation systems one context may try before its answers turn "unknown".
+#: Genus-zero rotation systems one context may take from the enumerator (pruned
+#: subtrees do not count) before its answers turn "unknown".
 ROTATION_BUDGET = 5_000_000
 
 
@@ -143,38 +144,25 @@ class RealizabilityContext:
 
     # -- cheap necessary conditions ------------------------------------
 
-    def pairs_insertable(self, part: frozenset[int]) -> bool:
-        """Planarity plus: every required pair embeds planarly on its own.
+    def pairs_insertable(self, skel, pairs, comp_of) -> bool:
+        """Every required pair inside one component embeds planarly on its own.
 
-        Sound for pruning partial parts: if any superset of ``part`` is
-        realizable, each pair here is either inside the superset (still
-        planar) or hosted on a face, hence addable; both imply planarity.
+        ``skel`` is the planar skeleton of a part, ``pairs`` its sorted
+        required pairs and ``comp_of`` maps each vertex an edge of the part
+        touches to its component.  Sound for pruning partial parts: if any
+        superset of the part is realizable, each pair here is either inside
+        the superset (still planar) or hosted on a face, hence addable.
         Pairs joining different components are always addable (draw the
         components side by side with the endpoints outward), so only pairs
-        inside one component are tested.
+        inside one component are tested, in sorted order.
         """
-        skel = self.g.skeleton(part)
-        if not skeleton_planar(skel):
-            return False
         if len(skel) + 1 <= 8:
             return True  # any single addition stays too small to matter
-        comps, _ = self.g.components(part)
-        comp_of = {}
-        for ci, (vs, _) in enumerate(comps):
-            for v in vs:
-                comp_of[v] = ci
-        for u, v in self.g_pairs:
-            p = (u, v)
-            if p in skel:
-                continue
-            if comp_of.get(u) is None or comp_of.get(u) != comp_of.get(v):
-                continue
-            if not skeleton_planar(skel | {p}):
+        for u, v in pairs:
+            cu = comp_of.get(u)
+            if cu is not None and cu == comp_of.get(v) and not skeleton_planar(skel | {(u, v)}):
                 return False
         return True
-
-    def required_pairs(self, skel) -> list[tuple[int, int]]:
-        return sorted(self.g_pairs - skel)
 
     # -- face profiles -------------------------------------------------
 
@@ -239,15 +227,14 @@ class RealizabilityContext:
             return RealizabilityResult("no")
         if not want_certificate and skeleton_outerplanar(skel, g.n):
             return RealizabilityResult("yes")
-        if not self.pairs_insertable(s):
-            return RealizabilityResult("no")
-
-        pairs = self.required_pairs(skel)
+        pairs = sorted(self.g_pairs - skel)
         comps, isolated = g.components(s)
         comp_of = {}
         for ci, (vs, _) in enumerate(comps):
             for v in vs:
                 comp_of[v] = ci
+        if not self.pairs_insertable(skel, pairs, comp_of):
+            return RealizabilityResult("no")
 
         within: dict[int, list[tuple[int, int]]] = {ci: [] for ci in range(len(comps))}
         cross: list[tuple[int, int]] = []

@@ -13,6 +13,7 @@ walk is recorded as the cyclic sequence of outgoing darts along its boundary.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import networkx as nx
@@ -27,7 +28,8 @@ from .core import (
 #: Enumeration refuses subgraphs with more edges than this unless overridden.
 DEFAULT_EDGE_CAP = 16
 
-#: Rotation systems one component may try during embedding enumeration.
+#: Largest rotation product (systems before pruning) one component may have
+#: during embedding enumeration.
 EMBEDDING_ROTATION_CAP = 2_000_000
 
 _skeleton_cache: dict[frozenset[tuple[int, int]], bool] = {}
@@ -188,7 +190,19 @@ def planar_rotations_of_component(
     copy it if they keep it past the next step.  With ``half`` the systems
     come up to reflection (the cyclic order at one anchor vertex is fixed
     in one direction), which is enough whenever only face vertex sets
-    matter.  ``rotation_cap`` bounds the candidates tried.
+    matter.  ``rotation_cap`` bounds the size of the rotation product
+    (systems before pruning); a larger product raises
+    ResourceExceededError before anything is yielded.
+
+    Vertices get their rotations in order, and faces are traced while they
+    do: the face step ``d -> succ[d ^ 1]`` is fixed once the vertex ``d``
+    enters is assigned, so the fixed steps form chains of darts, and a step
+    that joins a chain's end to its own start closes a face.  An open chain
+    that starts and ends at one unassigned vertex (a *loop*) may still close
+    alone; any other face still to close needs at least two open chains.
+    A subtree whose bound ``closed + loops + others // 2`` falls short of
+    Euler's face count is skipped; it holds no genus-zero leaf, so the
+    systems come in the same order as a plain product with a leaf test.
     """
     at_vertex = _darts_at(g, vertices, edges)
     n_c, m_c = len(vertices), len(edges)
@@ -197,53 +211,71 @@ def planar_rotations_of_component(
         return
 
     anchor = next((v for v in vertices if len(at_vertex[v]) >= 3), None)
-    per_vertex: list[list[tuple[int, ...]]] = []
+    size = 2 * g.m
+    tail = [0] * size  # position of the vertex a dart leaves
+    head = [0] * size  # position of the vertex a dart enters
+    per_vertex: list[list[tuple[tuple[int, int, int], ...]]] = []
+    own_darts: list[list[int]] = []
+    open_after: list[int] = []  # open chains once positions 0..i are assigned
+    remaining = 2 * m_c
     total = 1
-    for v in vertices:
+    for i, v in enumerate(vertices):
         ds = sorted(at_vertex[v])
-        cycles = [(ds[0], *rest) for rest in itertools.permutations(ds[1:])]
-        if half and v == anchor and len(ds) >= 3:
-            cycles = [c for c in cycles if c[1] < c[-1]]
-        per_vertex.append(cycles)
-        total *= len(cycles)
+        for d in ds:
+            tail[d] = i
+            head[d ^ 1] = i
+        flip = half and v == anchor
+        total *= math.factorial(len(ds) - 1) // (2 if flip else 1)
         if rotation_cap is not None and total > rotation_cap:
             raise ResourceExceededError(
                 f"rotation enumeration would try {total} systems (cap {rotation_cap})"
             )
+        cycles = [(ds[0], *rest) for rest in itertools.permutations(ds[1:])]
+        if flip:
+            cycles = [c for c in cycles if c[1] < c[-1]]
+        # per cycle: (dart, dart entering here, its successor) for each step
+        per_vertex.append(
+            [tuple((d, d ^ 1, c[(j + 1) % len(c)]) for j, d in enumerate(c)) for c in cycles]
+        )
+        own_darts.append(ds)
+        remaining -= len(ds)
+        open_after.append(remaining)
 
-    all_darts = sorted(d for v in vertices for d in at_vertex[v])
-    size = 2 * g.m
     succ: list[int] = [0] * size
-    stamp = [0] * size
-    tick = 0
     target = 2 - n_c + m_c  # faces required by Euler's formula
-    nv = len(vertices)
+    last = n_c - 1
 
-    def assign(i: int):
-        nonlocal tick
-        if i == nv:
-            tick += 1
-            t = tick
-            f = 0
-            for start in all_darts:
-                if stamp[start] == t:
+    def assign(i: int, start_of: list[int], end_of: list[int], closed: int, loops: int):
+        # loops at this vertex are consumed by its steps whatever its rotation
+        for s in own_darts[i]:
+            if head[end_of[s]] == i:
+                loops -= 1
+        open_chains = open_after[i]
+        for steps in per_vertex[i]:
+            starts = start_of[:]
+            ends = end_of[:]
+            c, lp = closed, loops
+            for d, into, nxt in steps:
+                succ[d] = nxt
+                a = starts[into]
+                if a == nxt:
+                    c += 1
                     continue
-                f += 1
-                d = start
-                while stamp[d] != t:
-                    stamp[d] = t
-                    d = succ[d ^ 1]
-            if f == target:
+                b = ends[nxt]
+                ends[a] = b
+                starts[b] = a
+                t = tail[a]
+                if t == head[b] and t != i:
+                    lp += 1
+            if c + lp + (open_chains - lp) // 2 < target:
+                continue
+            if i == last:
                 yield succ
-            return
-        for cycle in per_vertex[i]:
-            k = len(cycle)
-            for j in range(k - 1):
-                succ[cycle[j]] = cycle[j + 1]
-            succ[cycle[k - 1]] = cycle[0]
-            yield from assign(i + 1)
+            else:
+                yield from assign(i + 1, starts, ends, c, lp)
 
-    yield from assign(0)
+    identity = list(range(size))
+    yield from assign(0, identity, identity[:], 0, 0)
 
 
 def component_faces(

@@ -53,6 +53,19 @@ def test_verify_malformed_witness_exits_3(tmp_path, capsys, corrupt):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def test_verify_witness_of_other_graph_exits_3(tmp_path, capsys):
+    k5, k6 = str(tmp_path / "k5.txt"), str(tmp_path / "k6.txt")
+    w = str(tmp_path / "w.json")
+    run(capsys, "gen", "complete", "5", "--out", k5)
+    run(capsys, "gen", "complete", "6", "--out", k6)
+    run(capsys, "solve", "--mode", "ucrk", "--c", "2", "--k", "2", "--input", k5, "--witness", w)
+    assert main(["verify", "--input", k6, "--witness", w]) == 3
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "different graph" in err[0]
+    assert "verdict=" not in captured.out
+
+
 def test_gen_solve_verify_render_pipeline(tmp_path, capsys):
     k5 = str(tmp_path / "k5.txt")
     code, kv = run(capsys, "gen", "complete", "5", "--out", k5)

@@ -1,14 +1,21 @@
+import itertools
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uncrossed.core import ResourceExceededError, WeightedMultigraph, graph_from_edges
 from uncrossed.instances import complete, complete_bipartite, hex_grid
 from uncrossed.planarity import (
+    components_of,
     enumerate_embeddings,
     faces,
     graph_planar,
     is_outerplanar,
     is_planar,
     kuratowski_is_valid,
+    planar_rotations_of_component,
 )
 
 from conftest import atlas_graphs, brute_planar, cycle
@@ -156,3 +163,79 @@ def test_nonplanar_rotation_rejected(k4):
     if changed != emb.rotation:
         with pytest.raises(PreconditionError):
             build_embedding(k4, changed)
+
+
+def _reference_rotations(g, vertices, edges, half):
+    """Every genus-zero rotation system of one component, by brute force:
+    the full product of per-vertex cycles, each leaf traced completely."""
+    if not edges:
+        return [{}]
+    darts = {v: [] for v in vertices}
+    for e in edges:
+        u, v = g.endpoints(e)
+        darts[u].append(2 * e)
+        darts[v].append(2 * e + 1)
+    per_vertex = []
+    flipped = False
+    for v in vertices:
+        ds = sorted(darts[v])
+        cycles = [(ds[0], *rest) for rest in itertools.permutations(ds[1:])]
+        if half and not flipped and len(ds) >= 3:
+            cycles = [c for c in cycles if c[1] < c[-1]]
+            flipped = True
+        per_vertex.append(cycles)
+    out = []
+    for choice in itertools.product(*per_vertex):
+        succ = [0] * (2 * g.m)
+        for cycle in choice:
+            for j, d in enumerate(cycle):
+                succ[d] = cycle[(j + 1) % len(cycle)]
+        seen, walks = set(), 0
+        for start in sorted(d for ds in darts.values() for d in ds):
+            if start not in seen:
+                walks += 1
+                d = start
+                while d not in seen:
+                    seen.add(d)
+                    d = succ[d ^ 1]
+        if walks == 2 - len(vertices) + len(edges):
+            out.append(succ)
+    return out
+
+
+def _product_size(g, vertices, edges, half):
+    deg = {v: 0 for v in vertices}
+    for e in edges:
+        for v in g.endpoints(e):
+            deg[v] += 1
+    size = math.prod(math.factorial(max(d - 1, 0)) for d in deg.values())
+    return size // 2 if half and max(deg.values()) >= 3 else size
+
+
+@st.composite
+def small_multigraphs(draw):
+    """Multigraphs on at most 7 vertices and 12 edges, parallel edges included."""
+    n = draw(st.integers(2, 7))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]), max_size=12))
+    return graph_from_edges(n, pairs)
+
+
+@settings(derandomize=True, database=None, max_examples=250, deadline=None)
+@given(small_multigraphs(), st.booleans())
+def test_pruned_rotations_match_full_product(g, half):
+    cap = 5000  # larger products are checked for the cap only
+    for vs, es in components_of(g):
+        size = _product_size(g, vs, es, half)
+        if size > cap:
+            with pytest.raises(ResourceExceededError):
+                next(planar_rotations_of_component(g, vs, es, rotation_cap=cap, half=half))
+            continue
+        got = [
+            list(s) if es else s
+            for s in planar_rotations_of_component(g, vs, es, rotation_cap=size, half=half)
+        ]
+        assert got == _reference_rotations(g, vs, es, half)
+        if es:
+            with pytest.raises(ResourceExceededError):
+                next(planar_rotations_of_component(g, vs, es, rotation_cap=size - 1, half=half))
