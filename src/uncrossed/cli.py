@@ -17,7 +17,7 @@ import sys
 
 from . import bounds as bounds_mod
 from . import instances
-from .core import PreconditionError
+from .core import CollectionWitness, PreconditionError
 from .files import (
     ParseError,
     load_graph,
@@ -146,6 +146,12 @@ def _save_witness_if_asked(args, g, witness, mode_info) -> None:
         _emit("witness", args.witness)
 
 
+def _emit_bounds(res) -> None:
+    _emit("lower_bound", res.lower_bound)
+    if res.upper_bound is not None:
+        _emit("upper_bound", res.upper_bound)
+
+
 def _cmd_solve(args) -> int:
     g = load_graph(args.input)
     budget = _budget_from(args)
@@ -165,7 +171,7 @@ def _cmd_solve(args) -> int:
                     {"mode": "cr"},
                 )
             return EXIT_OK
-        _emit("lower_bound", res.lower_bound)
+        _emit_bounds(res)
         return EXIT_UNKNOWN
     if mode == "ucrk":
         if args.c is None or args.k is None:
@@ -189,9 +195,7 @@ def _cmd_solve(args) -> int:
             _emit("ounc", res.ounc)
             _save_witness_if_asked(args, g, res.witness, {"mode": "ucr"})
             return EXIT_OK
-        _emit("lower_bound", res.lower_bound)
-        if res.upper_bound is not None:
-            _emit("upper_bound", res.upper_bound)
+        _emit_bounds(res)
         return EXIT_UNKNOWN
     if mode == "unc":
         res = uncrossed_number(g, budget)
@@ -205,9 +209,7 @@ def _cmd_solve(args) -> int:
                 collection = collection_from_certificates(g, res.certificates)
                 _save_witness_if_asked(args, g, collection, {"mode": "unc"})
             return EXIT_OK
-        _emit("lower_bound", res.lower_bound)
-        if res.upper_bound is not None:
-            _emit("upper_bound", res.upper_bound)
+        _emit_bounds(res)
         return EXIT_UNKNOWN
     # thickness / outerthickness
     fn = bounds_mod.thickness if mode == "thickness" else bounds_mod.outerthickness
@@ -216,15 +218,11 @@ def _cmd_solve(args) -> int:
     if res.status == "exact":
         _emit(mode, res.value)
         return EXIT_OK
-    _emit("lower_bound", res.lower_bound)
-    if res.upper_bound is not None:
-        _emit("upper_bound", res.upper_bound)
+    _emit_bounds(res)
     return EXIT_UNKNOWN
 
 
 def _single_drawing_collection(g, drawing):
-    from .core import CollectionWitness
-
     return CollectionWitness(drawings=(drawing,), declared_cost=drawing.cost(g))
 
 
@@ -282,13 +280,7 @@ def main(argv=None) -> int:
         if args.command == "bounds":
             return _cmd_bounds(args)
         return _cmd_render(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (UsageError, ParseError, PreconditionError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -246,45 +246,6 @@ class RealizabilityContext:
                 cross.append((u, v))
         groups, group_req, hard_cross = _iso_groups(g.n, cross, isolated)
 
-        if not comps:
-            # no edges at all: one unbounded region holds everything
-            if not want_certificate:
-                return RealizabilityResult("yes")
-            return RealizabilityResult(
-                "yes", _build_certificate(self, s, [], {}, {}, {}, {})
-            )
-
-        if len(comps) == 1:
-            # every face of the single component borders its own region,
-            # so within-pairs and isolated groups check against faces
-            found = self.profiles(comps[0][0], comps[0][1], within[0])
-            if found is None:
-                return RealizabilityResult("unknown")
-            reqs = list(group_req.values())
-            for succ, faces in found:
-                if not all(
-                    any(req <= verts for _, verts in faces) for req in reqs
-                ):
-                    continue
-                if not want_certificate:
-                    return RealizabilityResult("yes")
-                iso_placement = {}
-                for root, members in groups.items():
-                    fi = next(
-                        i
-                        for i, (_, verts) in enumerate(faces)
-                        if group_req[root] <= verts
-                    )
-                    home = None if fi == 0 else (0, fi)
-                    for w in members:
-                        iso_placement[w] = home
-                cert = _build_certificate(
-                    self, s, comps, {0: (succ, faces)}, {0: 0}, {0: None},
-                    iso_placement,
-                )
-                return RealizabilityResult("yes", cert)
-            return RealizabilityResult("no")
-
         profiles: dict[int, list] = {}
         for ci, (vs, es) in enumerate(comps):
             found = self.profiles(vs, es, within[ci])
@@ -318,10 +279,6 @@ def realizable_uncrossed_set(
     on the outer face and route all other edges out there.
     """
     return RealizabilityContext(g).realizable(edge_ids, want_certificate=want_certificate)
-
-
-def required_pairs(g: WeightedMultigraph, s: frozenset[int]) -> set[tuple[int, int]]:
-    return set(g.skeleton() - g.skeleton(s))
 
 
 def _iso_groups(n, cross, isolated):
@@ -361,7 +318,8 @@ def _arrange_components(nontrivial, profiles, hard_cross, groups, group_req):
 
     Returns (profile per comp, shown face index per comp, parent per comp,
     isolated-vertex placements) or None.  A parent of None is the unbounded
-    region; ``(comp, face)`` is an inner face of that component.
+    region; ``(comp, face)`` is an inner face of that component.  Any
+    number of components works, zero and one included.
     """
     for combo in itertools.product(*(range(len(profiles[ci])) for ci in nontrivial)):
         chosen = {ci: profiles[ci][idx] for ci, idx in zip(nontrivial, combo)}
@@ -480,11 +438,11 @@ def _build_certificate(ctx, s, comps, chosen, shown, parents, iso_placement):
     for _, tag in entries:
         kind, idx = tag
         if kind == "comp":
-            outer_choice.append(shown.get(idx, 0))
-            parent_list.append(resolve_parent(parents.get(idx)))
+            outer_choice.append(shown[idx])
+            parent_list.append(resolve_parent(parents[idx]))
         else:
             outer_choice.append(0)
-            parent_list.append(resolve_parent(iso_placement.get(idx)))
+            parent_list.append(resolve_parent(iso_placement[idx]))
     emb = build_embedding(sub, tuple(rotation), tuple(outer_choice), tuple(parent_list))
 
     hosting = []

@@ -290,23 +290,10 @@ def is_hexagonal_grid(g: WeightedMultigraph, cert: GridCertificate) -> bool:
 
 
 def _connects_avoiding(g, side_a, side_b, blocked) -> bool:
-    blocked_set = set(blocked)
-    target = set(side_b)
-    adj = [[] for _ in range(g.n)]
-    for u, v, _ in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    stack = [v for v in side_a if v not in blocked_set]
-    seen = set(stack)
-    while stack:
-        x = stack.pop()
-        if x in target:
-            return True
-        for y in adj[x]:
-            if y not in seen and y not in blocked_set:
-                seen.add(y)
-                stack.append(y)
-    return False
+    blocked = set(blocked)
+    a, b = set(side_a) - blocked, set(side_b) - blocked
+    comps, _ = g.components(e for e in range(g.m) if not blocked & set(g.endpoints(e)))
+    return bool(a & b) or any(a.intersection(vs) and b.intersection(vs) for vs, _ in comps)
 
 
 def _find_path_edge(g: WeightedMultigraph, a: int, b: int) -> list[int] | None:
@@ -407,23 +394,11 @@ def principal_rings(
         u, v, _ = g.edges[e]
         adj[u].append(v)
         adj[v].append(u)
-    outside = sorted(set(range(g.n)) - grid_vertices)
-    comp_of: dict[int, int] = {}
-    comps: list[set[int]] = []
-    for v in outside:
-        if v in comp_of:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in grid_vertices and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        for x in comp:
-            comp_of[x] = len(comps)
-        comps.append(comp)
+    joined, isolated = g.components(
+        e for e in range(g.m) if not grid_vertices & set(g.endpoints(e))
+    )
+    comps = [set(vs) for vs, _ in joined]
+    comps += [{v} for v in isolated if v not in grid_vertices]
 
     def interior(j: int) -> set[int]:
         return {v for ring in cert.rings[: j - 1] for v in ring}
@@ -488,23 +463,8 @@ def perfectly_connected(t: Tile) -> bool:
 
 
 def _connected(g: WeightedMultigraph, verts: set[int]) -> bool:
-    if not verts:
-        return False
-    adj = {v: [] for v in verts}
-    for u, v, _ in g.edges:
-        if u in adj and v in adj:
-            adj[u].append(v)
-            adj[v].append(u)
-    start = next(iter(sorted(verts)))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen == verts
+    comps, isolated = g.components(e for e in range(g.m) if set(g.endpoints(e)) <= verts)
+    return len(comps) + len(verts.intersection(isolated)) == 1
 
 
 def tile_crossing_number(t: Tile, budget: SearchBudget = NO_BUDGET):

@@ -459,82 +459,6 @@ def _reflect_rotation(rotation: tuple[tuple[int, ...], ...]) -> tuple[tuple[int,
     return tuple(out)
 
 
-def reflect_embedding(e: Embedding) -> Embedding:
-    """The mirror image: all rotations reversed, faces mapped across."""
-    rot_r = _reflect_rotation(e.rotation)
-    succ_r = _rotation_to_succ(rot_r)
-    comps = components_of(e.graph)
-
-    # map each original local face to its mirror (containing the reversed darts)
-    def local_face_lookup(vs, es):
-        lst = component_faces(e.graph, vs, es, succ_r)
-        where = {}
-        for idx, (walk, _) in enumerate(lst):
-            for d in walk:
-                where[d] = idx
-        return lst, where
-
-    succ_o = _rotation_to_succ(e.rotation)
-    outer_choice_r = []
-    image_of: list[dict[int, int]] = []
-    originals: list[list[tuple[tuple[int, ...], frozenset[int]]]] = []
-    for ci, (vs, es) in enumerate(comps):
-        orig = component_faces(e.graph, vs, es, succ_o)
-        originals.append(orig)
-        lst_r, where = local_face_lookup(vs, es)
-        mapping = {}
-        for fi, (walk, _) in enumerate(orig):
-            if walk:
-                mapping[fi] = where[walk[0] ^ 1]
-            else:
-                mapping[fi] = 0
-        image_of.append(mapping)
-
-    # recover this embedding's outer/nesting choices in local-face terms
-    outer_choice, parents = _decompose_embedding(e, comps, originals)
-    outer_r = tuple(image_of[ci][outer_choice[ci]] for ci in range(len(comps)))
-    parents_r = tuple(
-        None if p is None else (p[0], image_of[p[0]][p[1]]) for p in parents
-    )
-    return build_embedding(e.graph, rot_r, outer_r, parents_r)
-
-
-def _decompose_embedding(e, comps, originals):
-    """Recover (outer_choice, parents) from an Embedding's face/nesting data."""
-    face_constituents: dict[int, list[tuple[int, int]]] = {f.id: [] for f in e.faces}
-    walk_home = {}
-    for ci, faces_list in enumerate(originals):
-        for fi, (walk, _) in enumerate(faces_list):
-            walk_home[walk] = (ci, fi)
-    for f in e.faces:
-        for walk in f.walks:
-            face_constituents[f.id].append(walk_home[walk])
-
-    outer_choice = [0] * len(comps)
-    parents: list[tuple[int, int] | None] = [None] * len(comps)
-    comp_of_vertex = {}
-    for ci, (vs, _) in enumerate(comps):
-        for v in vs:
-            comp_of_vertex[v] = ci
-    for ci in range(len(comps)):
-        host_face = e.nesting[ci]
-        cands = [fi for cj, fi in face_constituents[host_face] if cj == ci]
-        if not cands:  # isolated vertex: its only face is "outer"
-            outer_choice[ci] = 0
-        else:
-            outer_choice[ci] = cands[0]
-        if host_face == e.outer_face:
-            parents[ci] = None
-        else:
-            owners = [
-                (cj, fi)
-                for cj, fi in face_constituents[host_face]
-                if cj != ci and e.nesting[cj] != host_face
-            ]
-            parents[ci] = owners[0]
-    return tuple(outer_choice), tuple(parents)
-
-
 def enumerate_embeddings(g: WeightedMultigraph, max_edges: int = DEFAULT_EDGE_CAP):
     """Yield every combinatorial embedding of planar g, up to reflection.
 
@@ -566,6 +490,18 @@ def enumerate_embeddings(g: WeightedMultigraph, max_edges: int = DEFAULT_EDGE_CA
         rotation_t = tuple(rotation)
         succ = _rotation_to_succ(rotation_t)
         local = [component_faces(g, vs, es, succ) for vs, es in comps]
+        # the mirror image: each local face maps to the mirrored face that
+        # walks its first dart backwards (an isolated vertex's face to itself)
+        rotation_r = _reflect_rotation(rotation_t)
+        succ_r = _rotation_to_succ(rotation_r)
+        image = []
+        for (vs, es), lf in zip(comps, local):
+            where = {
+                d: fi
+                for fi, (walk, _) in enumerate(component_faces(g, vs, es, succ_r))
+                for d in walk
+            }
+            image.append([where[walk[0] ^ 1] if walk else 0 for walk, _ in lf])
 
         for outers in itertools.product(*(range(len(lf)) for lf in local)):
             slot_lists = []
@@ -585,7 +521,13 @@ def enumerate_embeddings(g: WeightedMultigraph, max_edges: int = DEFAULT_EDGE_CA
                 key = _embedding_key(emb)
                 if key in seen:
                     continue
-                mirror_key = _embedding_key(reflect_embedding(emb))
+                mirror = build_embedding(
+                    g,
+                    rotation_r,
+                    tuple(image[ci][fi] for ci, fi in enumerate(outers)),
+                    tuple(None if p is None else (p[0], image[p[0]][p[1]]) for p in parents),
+                )
+                mirror_key = _embedding_key(mirror)
                 seen.add(key)
                 seen.add(mirror_key)
                 yield emb

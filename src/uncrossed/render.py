@@ -97,7 +97,6 @@ def render_drawing_svg(g: WeightedMultigraph, d: DrawingWitness) -> str:
         '<rect width="100%" height="100%" fill="white"/>',
     ]
     for eid in range(g.m):
-        chain = chains[eid]
         pts = []
         for idx, (a, b) in enumerate(segments):
             if seg_owner[idx] != eid:

@@ -1,12 +1,12 @@
 import itertools
 import random
 
+from uncrossed.core import WeightedMultigraph
 from uncrossed.covers import (
     CoverSearch,
     RealizabilityContext,
     certificate_is_valid,
     realizable_uncrossed_set,
-    required_pairs,
 )
 from uncrossed.planarity import enumerate_embeddings, graph_planar
 
@@ -18,7 +18,7 @@ def hosting_oracle(g, s):
     sub = g.spanning_subgraph(s)
     if not graph_planar(sub):
         return False
-    pairs = required_pairs(g, frozenset(s))
+    pairs = g.skeleton() - g.skeleton(s)
     for emb in enumerate_embeddings(sub, max_edges=30):
         face_sets = [f.vertices for f in emb.faces]
         if all(any(u in fv and v in fv for fv in face_sets) for u, v in pairs):
@@ -48,6 +48,18 @@ def test_empty_set_realizable(k5):
     res = realizable_uncrossed_set(k5, [])
     assert res.status == "yes"
     assert certificate_is_valid(k5, res.certificate)
+
+
+def test_shown_face_other_than_first():
+    # the pendant vertex 6 lies on one face of the triangle 4-5-7 only, and
+    # the pairs (2, 6), (3, 6), (3, 4) need that face turned towards K4
+    s_pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    s_pairs += [(4, 5), (4, 6), (4, 7), (5, 7)]
+    hosted = [(2, 6), (3, 6), (3, 4)]
+    g = WeightedMultigraph(8, tuple((u, v, 1) for u, v in s_pairs + hosted))
+    res = realizable_uncrossed_set(g, range(len(s_pairs)))
+    assert res.status == "yes"
+    assert certificate_is_valid(g, res.certificate)
 
 
 def test_agrees_with_embedding_enumeration_oracle(k7):

@@ -137,6 +137,13 @@ def test_hex_grid_structural_predicate_r3():
     assert validate_certificate(g, cert)
 
 
+def test_hex_grid_rings_out_of_order_rejected():
+    # C1 and C2 touch without crossing C3, so the nesting check fails
+    g, cert = hex_grid(4)
+    c1, c2, c3, c4 = cert.rings
+    assert not is_hexagonal_grid(g, GridCertificate((c1, c3, c2, c4)))
+
+
 def test_delete_innermost_edge_preconditions():
     g, cert = hex_grid(3)
     with pytest.raises(PreconditionError):
