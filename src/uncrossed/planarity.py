@@ -1,9 +1,10 @@
 """Planarity and outerplanarity decision, embeddings and face enumeration.
 
-The planarity verdict is delegated to networkx's left-right test (linear
-time, emits a certificate either way); everything combinatorial on top of it
-(rotation systems, face walks, nesting of components, exhaustive embedding
-enumeration) lives here.
+The planarity verdict comes from the iterative left-right kernel in
+``_lrtest``; networkx only supplies the embeddings and Kuratowski witnesses
+of ``is_planar`` and the single rotation of ``covers._single_lr_rotation``.
+Everything combinatorial on top of them (rotation systems, face walks,
+nesting of components, exhaustive embedding enumeration) lives here.
 
 Darts: edge e contributes darts ``2e`` (incident at ``endpoints(e)[0]``) and
 ``2e+1`` (at ``endpoints(e)[1]``); ``d ^ 1`` is the opposite dart.  A face
@@ -38,19 +39,9 @@ _skeleton_cache: dict[frozenset[tuple[int, int]], bool] = {}
 def skeleton_planar(skeleton: frozenset[tuple[int, int]]) -> bool:
     """Planarity of a simple graph given as a set of endpoint pairs."""
     hit = _skeleton_cache.get(skeleton)
-    if hit is not None:
-        return hit
-    if len(skeleton) <= 8:
-        ans = True  # fewer than 9 edges can hold no Kuratowski subdivision
-    else:
-        verts = sorted({v for p in skeleton for v in p})
-        if len(verts) <= 900:
-            index = {v: i for i, v in enumerate(verts)}
-            ans = lr_planar(len(verts), [(index[u], index[v]) for u, v in skeleton])
-        else:
-            ans, _ = nx.check_planarity(nx.Graph(list(skeleton)), counterexample=False)
-    _skeleton_cache[skeleton] = ans
-    return ans
+    if hit is None:
+        hit = _skeleton_cache[skeleton] = lr_planar(skeleton)
+    return hit
 
 
 def graph_planar(g: WeightedMultigraph) -> bool:

@@ -8,9 +8,15 @@ realizability via exhaustive embedding enumeration.
 import itertools
 
 import pytest
+from hypothesis import settings
 
 from uncrossed.core import WeightedMultigraph, graph_from_edges
 from uncrossed.instances import complete, complete_bipartite
+
+# one derandomized profile for every property test: runs repeat exactly,
+# nothing is stored between runs, and slow examples are not failures
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

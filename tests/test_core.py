@@ -47,7 +47,7 @@ def graphs_with_edge_subsets(draw):
     return graph_from_edges(n, pairs), [e for e, k in enumerate(keep) if k]
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(graphs_with_edge_subsets())
 def test_components_match_networkx(case):
     g, part = case

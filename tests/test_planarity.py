@@ -221,7 +221,7 @@ def small_multigraphs(draw):
     return graph_from_edges(n, pairs)
 
 
-@settings(derandomize=True, database=None, max_examples=250, deadline=None)
+@settings(max_examples=250)
 @given(small_multigraphs(), st.booleans())
 def test_pruned_rotations_match_full_product(g, half):
     cap = 5000  # larger products are checked for the cap only
