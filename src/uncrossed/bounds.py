@@ -11,19 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import PreconditionError, WeightedMultigraph
-from .covers import CoverOutcome, CoverSearch, dense_first_order
+from .core import NO_BUDGET, PreconditionError, SearchBudget, WeightedMultigraph
+from .covers import CoverResult, CoverSearch
 from .planarity import skeleton_outerplanar, skeleton_planar
-from .solver import NO_BUDGET, BudgetExhausted, SearchBudget, _Ticker
-
-
-@dataclass(frozen=True)
-class CoverResult:
-    status: str  # "exact" | "unknown"
-    value: int | None
-    lower_bound: int
-    upper_bound: int | None
-    parts: tuple[frozenset[int], ...] | None
 
 
 @dataclass(frozen=True)
@@ -47,23 +37,13 @@ class BoundReport:
         raise KeyError(name)
 
 
-def _cover_value(g: WeightedMultigraph, predicate, budget: SearchBudget) -> CoverResult:
-    ticker = _Ticker(budget)
-    search = CoverSearch(g, predicate, ticker=ticker, edge_order=dense_first_order(g))
-    try:
-        out: CoverOutcome = search.minimum(budget.max_drawings)
-    except BudgetExhausted:
-        return CoverResult("unknown", None, search.lower_bound, None, None)
-    return CoverResult(out.status, out.value, out.lower_bound, out.upper_bound, out.parts)
-
-
 def thickness(g: WeightedMultigraph, budget: SearchBudget = NO_BUDGET) -> CoverResult:
     """Least number of planar subgraphs whose union is all of G, exactly."""
 
     def planar_part(part: frozenset[int]) -> bool:
         return skeleton_planar(g.skeleton(part))
 
-    return _cover_value(g, planar_part, budget)
+    return CoverSearch(g, planar_part, budget).minimum()
 
 
 def outerthickness(g: WeightedMultigraph, budget: SearchBudget = NO_BUDGET) -> CoverResult:
@@ -76,7 +56,7 @@ def outerthickness(g: WeightedMultigraph, budget: SearchBudget = NO_BUDGET) -> C
     def outerplanar_part(part: frozenset[int]) -> bool:
         return skeleton_outerplanar(g.skeleton(part), g.n)
 
-    return _cover_value(g, outerplanar_part, budget)
+    return CoverSearch(g, outerplanar_part, budget).minimum()
 
 
 def ucr_lower_bound(g: WeightedMultigraph) -> BoundReport:

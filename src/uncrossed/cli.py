@@ -135,7 +135,10 @@ def _budget_from(args) -> SearchBudget:
     if seconds is None:
         env = os.environ.get("UNCROSSED_BUDGET")
         if env:
-            seconds = float(env)
+            try:
+                seconds = float(env)
+            except ValueError:
+                raise UsageError(f"UNCROSSED_BUDGET is not a number: {env!r}") from None
     return SearchBudget(wall_clock_seconds=seconds, max_nodes=args.max_nodes)
 
 

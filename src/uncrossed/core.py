@@ -6,11 +6,13 @@ edges allowed, loops rejected.  Drawings are represented combinatorially:
 a :class:`DrawingWitness` lists crossing events (pairs of independent edges)
 together with the order in which each edge meets its events, which is enough
 to planarize the drawing and check it against a plane graph.
+:class:`SearchBudget` and its :class:`Ticker` bound every exact search.
 """
 
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,6 +31,55 @@ class WitnessStructureError(UncrossedError):
 
 class ResourceExceededError(UncrossedError):
     """An enumeration exceeded its configured cap."""
+
+
+class BudgetExhausted(Exception):
+    """Internal signal that a search ran out of its budget."""
+
+
+@dataclass(frozen=True)
+class SearchBudget:
+    """Resource limits for a solve; ``None`` means unlimited."""
+
+    max_crossings: int | None = None
+    max_drawings: int | None = None
+    wall_clock_seconds: float | None = None
+    max_nodes: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.max_crossings is not None and self.max_crossings < 0:
+            raise PreconditionError("max_crossings must be >= 0")
+        if self.max_drawings is not None and self.max_drawings < 1:
+            raise PreconditionError("max_drawings must be >= 1")
+        if self.max_nodes is not None and self.max_nodes < 0:
+            raise PreconditionError("max_nodes must be >= 0")
+        if self.wall_clock_seconds is not None and not self.wall_clock_seconds >= 0:
+            raise PreconditionError("wall_clock_seconds must be >= 0")
+
+
+NO_BUDGET = SearchBudget()
+
+
+class Ticker:
+    """Counts search nodes and raises :class:`BudgetExhausted` once the
+    budget's node limit or wall clock runs out."""
+
+    def __init__(self, budget: SearchBudget):
+        self.max_nodes = budget.max_nodes
+        self.deadline = (
+            None
+            if budget.wall_clock_seconds is None
+            else time.monotonic() + budget.wall_clock_seconds
+        )
+        self.nodes = 0
+
+    def tick(self) -> None:
+        self.nodes += 1
+        if self.max_nodes is not None and self.nodes > self.max_nodes:
+            raise BudgetExhausted
+        if self.deadline is not None and self.nodes % 256 == 0:
+            if time.monotonic() > self.deadline:
+                raise BudgetExhausted
 
 
 @dataclass(frozen=True)
@@ -188,10 +239,6 @@ class CollectionWitness:
     def __post_init__(self) -> None:
         if not self.drawings:
             raise WitnessStructureError("a collection needs at least one drawing")
-
-
-def empty_drawing() -> DrawingWitness:
-    return DrawingWitness(crossings=(), edge_orders=())
 
 
 def make_drawing(g: WeightedMultigraph, events, orders=None) -> DrawingWitness:

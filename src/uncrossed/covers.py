@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .core import WeightedMultigraph
+from .core import NO_BUDGET, BudgetExhausted, SearchBudget, Ticker, WeightedMultigraph
 from .planarity import (
     Embedding,
     build_embedding,
@@ -467,7 +467,7 @@ def dense_first_order(g: WeightedMultigraph) -> list[int]:
 
 
 @dataclass(frozen=True)
-class CoverOutcome:
+class CoverResult:
     status: str  # "exact" | "unknown"
     value: int | None
     lower_bound: int
@@ -480,20 +480,25 @@ class CoverSearch:
 
     ``feasible(part)`` must be exact (True / False / None for unknown) and
     closed under subsets; it runs on every partial part, so a part no
-    superset of which is feasible is abandoned at once.  ``lower_bound`` is
-    the least part count not yet ruled out by an exhausted level, also
-    after a budget interrupts :meth:`minimum`.
+    superset of which is feasible is abandoned at once.  Edges are placed
+    in :func:`dense_first_order`.  ``lower_bound`` is the least part count
+    not yet ruled out by an exhausted level, also after the budget
+    interrupts :meth:`minimum`.
     """
 
-    def __init__(self, g: WeightedMultigraph, feasible, ticker=None, edge_order=None):
+    def __init__(self, g: WeightedMultigraph, feasible, budget: SearchBudget = NO_BUDGET):
         self.g = g
         self.feasible = feasible
-        self.ticker = ticker
-        self.edge_order = list(edge_order) if edge_order is not None else list(range(g.m))
+        self.max_parts = budget.max_drawings
+        self.ticker = Ticker(budget)
+        self.edge_order = dense_first_order(g)
         self.cache: dict[frozenset[int], bool | None] = {}
         self.saw_unknown = False
-        self.nodes = 0
         self.lower_bound = 1
+
+    @property
+    def nodes(self) -> int:
+        return self.ticker.nodes
 
     def feasible_cached(self, part: frozenset[int]):
         if part in self.cache:
@@ -509,12 +514,11 @@ class CoverSearch:
         """First partition of E into at most c feasible parts, else None."""
         m = self.g.m
         order = self.edge_order
+        tick = self.ticker.tick
         parts: list[set[int]] = []
 
         def place(depth: int):
-            self.nodes += 1
-            if self.ticker is not None:
-                self.ticker.tick()
+            tick()
             if depth == m:
                 final = [frozenset(p) for p in parts]
                 if all(self.feasible_cached(p) is True for p in final):
@@ -538,16 +542,21 @@ class CoverSearch:
 
         return place(0)
 
-    def minimum(self, max_parts: int | None = None) -> CoverOutcome:
-        c = 1
-        while True:
-            if (max_parts is not None and c > max_parts) or c > max(1, self.g.m):
-                return CoverOutcome("unknown", None, self.lower_bound, None, None)
-            got = self.cover_with(c)
-            if got is not None:
-                if self.lower_bound == c:
-                    return CoverOutcome("exact", c, c, c, got)
-                return CoverOutcome("unknown", None, self.lower_bound, c, got)
-            if not self.saw_unknown:
-                self.lower_bound = c + 1
-            c += 1
+    def minimum(self) -> CoverResult:
+        """Least part count, or "unknown" with the proven lower bound once
+        the budget's drawing cap, node limit or wall clock runs out."""
+        top = max(1, self.g.m)
+        if self.max_parts is not None:
+            top = min(top, self.max_parts)
+        try:
+            for c in range(1, top + 1):
+                got = self.cover_with(c)
+                if got is not None:
+                    if self.lower_bound == c:
+                        return CoverResult("exact", c, c, c, got)
+                    return CoverResult("unknown", None, self.lower_bound, c, got)
+                if not self.saw_unknown:
+                    self.lower_bound = c + 1
+        except BudgetExhausted:
+            pass
+        return CoverResult("unknown", None, self.lower_bound, None, None)

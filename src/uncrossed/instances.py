@@ -12,14 +12,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    NO_BUDGET,
     CollectionWitness,
     PreconditionError,
+    SearchBudget,
     WeightedMultigraph,
     chord_crossings,
     make_drawing,
 )
 from .planarity import is_planar
-from .solver import NO_BUDGET, SearchBudget, crossing_number
+from .solver import crossing_number
 
 
 def complete(n: int) -> WeightedMultigraph:
@@ -334,6 +336,16 @@ def validate_certificate(g: WeightedMultigraph, cert: GridCertificate) -> bool:
     return True
 
 
+def _require_rings(g: WeightedMultigraph, cert: GridCertificate, k: int) -> None:
+    """At least 4k+4 rings, and a certificate matching g."""
+    if cert.ring_count < 4 * k + 4:
+        raise PreconditionError(
+            f"need at least {4 * k + 4} rings for k={k}, got {cert.ring_count}"
+        )
+    if not validate_certificate(g, cert):
+        raise PreconditionError("certificate does not match the graph")
+
+
 @dataclass(frozen=True)
 class DeletionNote:
     """Record of the irrelevant-edge step.
@@ -354,12 +366,7 @@ def delete_innermost_edge(
     """Remove one edge of the innermost principal cycle, deterministically.
 
     Requires at least 4k+4 rings and a certificate matching g."""
-    if cert.ring_count < 4 * k + 4:
-        raise PreconditionError(
-            f"need at least {4 * k + 4} rings for k={k}, got {cert.ring_count}"
-        )
-    if not validate_certificate(g, cert):
-        raise PreconditionError("certificate does not match the graph")
+    _require_rings(g, cert, k)
     ring = cert.rings[0]
     path = _find_path_edge(g, ring[0], ring[1])
     removed = path[0]
@@ -382,12 +389,7 @@ def principal_rings(
     """Rings R_i for even i <= 4k+2: the subgraph induced by cycles C_i and
     C_{i+1}, plus components of G minus the grid hanging onto the region
     inside C_{i+2} but not inside C_i."""
-    if cert.ring_count < 4 * k + 4:
-        raise PreconditionError(
-            f"need at least {4 * k + 4} rings for k={k}, got {cert.ring_count}"
-        )
-    if not validate_certificate(g, cert):
-        raise PreconditionError("certificate does not match the graph")
+    _require_rings(g, cert, k)
     grid_vertices = {v for ring in cert.rings for v in ring}
     adj = [[] for _ in range(g.n)]
     for e in range(g.m):

@@ -13,13 +13,16 @@ proven bounds; it is never reported as a plain no.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 
 from .core import (
+    NO_BUDGET,
+    BudgetExhausted,
     CollectionWitness,
     DrawingWitness,
     PreconditionError,
+    SearchBudget,
+    Ticker,
     WeightedMultigraph,
     WitnessStructureError,
     chord_crossings,
@@ -31,14 +34,12 @@ from .covers import (
     CoverSearch,
     RealizabilityContext,
     UncrossedSetCertificate,
-    dense_first_order,
     realizable_uncrossed_set,
 )
 from .planarity import graph_planar, skeleton_planar
 
 __all__ = [
     "SearchBudget",
-    "BudgetExhausted",
     "CrossingNumberResult",
     "Decision",
     "UcrResult",
@@ -53,48 +54,6 @@ __all__ = [
     "reference_oracle",
     "verify_collection",
 ]
-
-
-class BudgetExhausted(Exception):
-    """Internal signal that a search ran out of its budget."""
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Resource limits for a solve; ``None`` means unlimited."""
-
-    max_crossings: int | None = None
-    max_drawings: int | None = None
-    wall_clock_seconds: float | None = None
-    max_nodes: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_crossings is not None and self.max_crossings < 0:
-            raise PreconditionError("max_crossings must be >= 0")
-        if self.max_drawings is not None and self.max_drawings < 1:
-            raise PreconditionError("max_drawings must be >= 1")
-
-
-NO_BUDGET = SearchBudget()
-
-
-class _Ticker:
-    def __init__(self, budget: SearchBudget):
-        self.max_nodes = budget.max_nodes
-        self.deadline = (
-            None
-            if budget.wall_clock_seconds is None
-            else time.monotonic() + budget.wall_clock_seconds
-        )
-        self.nodes = 0
-
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise BudgetExhausted
-        if self.deadline is not None and self.nodes % 256 == 0:
-            if time.monotonic() > self.deadline:
-                raise BudgetExhausted
 
 
 @dataclass(frozen=True)
@@ -148,11 +107,15 @@ def _euler_count_lb(g: WeightedMultigraph) -> int:
 
 
 class _DrawingSearch:
-    """Shared context: independent pairs, planarizability cache, budget."""
+    """Shared context: independent pairs, planarizability cache, budget.
 
-    def __init__(self, g: WeightedMultigraph, ticker: _Ticker):
+    Every cache depends on g alone or carries the drawing count and cost
+    limit in its key, so one search serves any number of decisions.
+    """
+
+    def __init__(self, g: WeightedMultigraph, budget: SearchBudget):
         self.g = g
-        self.ticker = ticker
+        self.ticker = Ticker(budget)
         self.pairs = [
             (e, f)
             for e in range(g.m)
@@ -363,8 +326,7 @@ def crossing_number(
     """
     if graph_planar(g):
         return CrossingNumberResult("exact", 0, 0, 0, make_drawing(g, []))
-    ticker = _Ticker(budget)
-    search = _DrawingSearch(g, ticker)
+    search = _DrawingSearch(g, budget)
     k = max(1, _euler_count_lb(g))
     while True:
         if budget.max_crossings is not None and k > budget.max_crossings:
@@ -386,7 +348,6 @@ def decide_uncrossed_cost(
     max_drawings: int,
     max_cost: int,
     budget: SearchBudget = NO_BUDGET,
-    _ticker: _Ticker | None = None,
 ) -> Decision:
     """Is there an uncrossed collection of <= max_drawings drawings with
     total weighted cost <= max_cost?
@@ -398,10 +359,14 @@ def decide_uncrossed_cost(
         raise PreconditionError("need max_drawings >= 1 and max_cost >= 0")
     if graph_planar(g):
         return Decision("yes", _trivial_planar_witness(g))
+    return _decide(_DrawingSearch(g, budget), max_drawings, max_cost)
+
+
+def _decide(search: _DrawingSearch, max_drawings: int, max_cost: int) -> Decision:
+    """:func:`decide_uncrossed_cost` for a nonplanar graph, on ``search``."""
     if max_drawings == 1:
         return Decision("no")  # one drawing of a nonplanar graph always crosses
-    ticker = _ticker if _ticker is not None else _Ticker(budget)
-    search = _DrawingSearch(g, ticker)
+    g = search.g
     try:
         got = search.cover(frozenset(range(g.m)), max_drawings, max_cost)
     except BudgetExhausted:
@@ -427,15 +392,14 @@ def uncrossed_crossing_number(
     """
     if graph_planar(g):
         return UcrResult("exact", 0, 1, 0, 0, _trivial_planar_witness(g))
-    ticker = _Ticker(budget)  # one budget for the whole deepening
+    search = _DrawingSearch(g, budget)  # one budget and cache for every probe
     lb = max(1, 2 * _euler_count_lb(g))  # two drawings minimum, each crossing
     k = lb
     while True:
         if budget.max_crossings is not None and k > budget.max_crossings:
             return UcrResult("unknown", None, None, k, None, None)
         c_level = k if budget.max_drawings is None else min(k, budget.max_drawings)
-        c_level = max(1, c_level)
-        dec = decide_uncrossed_cost(g, c_level, k, budget, _ticker=ticker)
+        dec = _decide(search, c_level, k)
         if dec.verdict == "unknown":
             return UcrResult("unknown", None, None, k, None, None)
         if dec.verdict == "yes":
@@ -446,7 +410,7 @@ def uncrossed_crossing_number(
             witness = dec.witness
             c_try = len(witness.drawings)
             while c_try > 1:
-                lower = decide_uncrossed_cost(g, c_try - 1, ucr, budget, _ticker=ticker)
+                lower = _decide(search, c_try - 1, ucr)
                 if lower.verdict == "unknown":
                     # optimal cost is proven but not the least drawing count
                     return UcrResult("unknown", ucr, None, ucr, ucr, witness)
@@ -467,20 +431,14 @@ def uncrossed_number(g: WeightedMultigraph, budget: SearchBudget = NO_BUDGET) ->
     budget runs out, the lower bound is the least drawing count that no
     exhausted level has ruled out.
     """
-    ticker = _Ticker(budget)
     ctx = RealizabilityContext(g)
 
     def feasible(part: frozenset[int]):
         res = ctx.realizable(part)
         return {"yes": True, "no": False, "unknown": None}[res.status]
 
-    cover = CoverSearch(g, feasible, ticker=ticker, edge_order=dense_first_order(g))
-    try:
-        out = cover.minimum(budget.max_drawings)
-    except BudgetExhausted:
-        return UncResult(
-            "unknown", None, cover.lower_bound, None, None, len(cover.cache), cover.nodes
-        )
+    cover = CoverSearch(g, feasible, budget)
+    out = cover.minimum()
     certificates = None
     if out.parts is not None:
         certs = []
@@ -573,12 +531,7 @@ def _parabola_parameter(a1, b1, a2, b2):
 ORACLE_CAPS = (8, 12, 4)
 
 
-def reference_oracle(
-    g: WeightedMultigraph,
-    max_drawings: int,
-    max_cost: int,
-    budget: SearchBudget = NO_BUDGET,
-) -> bool:
+def reference_oracle(g: WeightedMultigraph, max_drawings: int, max_cost: int) -> bool:
     """Exhaustive re-derivation of :func:`decide_uncrossed_cost` verdicts.
 
     Works on the graph with every edge subdivided ``max_cost`` times and
@@ -601,7 +554,6 @@ def reference_oracle(
 
     k = max_cost
     h = subdivide(g, k)
-    ticker = _Ticker(budget)
 
     def edge_of(vid: int) -> int:
         return (vid - g.n) // k
@@ -665,7 +617,6 @@ def reference_oracle(
         ]
 
         def build(idx: int, chosen: tuple, cost: int, touches: bool) -> bool:
-            ticker.tick()
             if len(chosen) >= group_lb:
                 group = frozenset((a, b) for a, b, _ in chosen)
                 if identified_planar(group):

@@ -162,6 +162,29 @@ def test_budget_env_variable(tmp_path, capsys, monkeypatch):
     assert code == 2 and kv["status"] == "unknown"
 
 
+def _solve_k5_exit(tmp_path, capsys, *extra):
+    k5 = str(tmp_path / "k5.txt")
+    save_graph(k5, complete(5))
+    code = main(["solve", "--mode", "ucr", "--input", k5, *extra])
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return code
+
+
+def test_malformed_budget_env_variable_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("UNCROSSED_BUDGET", "abc")
+    assert _solve_k5_exit(tmp_path, capsys) == 3
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [("--max-nodes", "-3"), ("--budget", "-1"), ("--budget", "nan")],
+    ids=["negative-nodes", "negative-seconds", "nan-seconds"],
+)
+def test_negative_budget_limits_exit_3(tmp_path, capsys, extra):
+    assert _solve_k5_exit(tmp_path, capsys, *extra) == 3
+
+
 def test_unc_witness_pipeline(tmp_path, capsys):
     k5 = str(tmp_path / "k5.txt")
     run(capsys, "gen", "complete", "5", "--out", k5)

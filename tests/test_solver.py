@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from uncrossed.bounds import outerthickness, thickness
 from uncrossed.core import (
     CollectionWitness,
     DrawingWitness,
@@ -14,10 +15,12 @@ from uncrossed.core import (
 )
 from uncrossed.covers import certificate_is_valid
 from uncrossed.instances import (
+    Tile,
     complete,
     complete_bipartite,
     heavy_cycle_with_diameters,
     k5_with_two_light_edges,
+    tile_crossing_number,
 )
 from uncrossed.solver import (
     SearchBudget,
@@ -159,6 +162,30 @@ def test_ucr_two_light_family():
         assert res.ucr == 2 * m
         assert res.ounc == 2
         assert verify_collection(g, res.witness).accepted
+
+
+def _weighted_k33():
+    k33 = complete_bipartite(3, 3)
+    return WeightedMultigraph(6, tuple((u, v, i % 3 + 1) for i, (u, v, _) in enumerate(k33.edges)))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        heavy_cycle_with_diameters(3),
+        k5_with_two_light_edges(3),
+        complete_bipartite(3, 3),
+        complete(5),
+        _weighted_k33(),
+    ],
+    ids=["heavy-cycle-3", "two-light-3", "k33", "k5", "weighted-k33"],
+)
+def test_ucr_witness_matches_fresh_decision(g):
+    # ucr probes one shared search; a fresh decision at its optimum must
+    # report the same canonical witness
+    res = uncrossed_crossing_number(g)
+    assert res.status == "exact"
+    assert decide_uncrossed_cost(g, res.ounc, res.ucr).witness == res.witness
 
 
 def test_ucr_at_least_ounc_times_cr():
@@ -385,6 +412,38 @@ def test_budget_validation():
         SearchBudget(max_crossings=-1)
     with pytest.raises(PreconditionError):
         SearchBudget(max_drawings=0)
+    with pytest.raises(PreconditionError):
+        SearchBudget(max_nodes=-1)
+    with pytest.raises(PreconditionError):
+        SearchBudget(wall_clock_seconds=-0.5)
+    with pytest.raises(PreconditionError):
+        SearchBudget(wall_clock_seconds=float("nan"))
+    assert SearchBudget(max_nodes=0, wall_clock_seconds=0.0).max_nodes == 0
+
+
+_ONE_NODE = SearchBudget(max_nodes=1)
+
+
+@pytest.mark.parametrize(
+    "solve, lower_bound",
+    [
+        (lambda g: crossing_number(g, _ONE_NODE), 3),
+        (lambda g: uncrossed_crossing_number(g, _ONE_NODE), 6),
+        (lambda g: uncrossed_number(g, _ONE_NODE), 1),
+        (lambda g: thickness(g, _ONE_NODE), 1),
+        (lambda g: outerthickness(g, _ONE_NODE), 1),
+        (lambda g: tile_crossing_number(Tile(g, (0, 1, 2, 3)), _ONE_NODE), 3),
+    ],
+    ids=["cr", "ucr", "unc", "thickness", "outerthickness", "tcr"],
+)
+def test_one_node_budget_is_unknown_with_proven_bound(k6, solve, lower_bound):
+    res = solve(k6)
+    assert res.status == "unknown"
+    assert res.lower_bound == lower_bound
+
+
+def test_one_node_budget_decision_is_unknown(k6):
+    assert decide_uncrossed_cost(k6, 2, 6, _ONE_NODE).verdict == "unknown"
 
 
 def test_ucr_budget_unknown(k33):
