@@ -15,12 +15,19 @@ condition can be abandoned immediately.
 
 :class:`RealizabilityContext` carries per-graph caches: face profiles are
 memoized per connected component (in original edge ids), which is what makes
-the exhaustive covering searches affordable.
+the exhaustive covering searches affordable.  Its :meth:`~RealizabilityContext.feasible`
+answers each orbit of a part under Aut(G) once, keyed by a canonical
+labelling of G with the part's edges coloured (the colour refinement and
+cell-wise labelling search of McKay & Piperno, "Practical graph isomorphism
+II", J. Symb. Comput. 60, 2014, without search-tree pruning).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 
 import networkx as nx
@@ -39,6 +46,12 @@ from .planarity import (
 #: Genus-zero rotation systems one context may take from the enumerator (pruned
 #: subtrees do not count) before its answers turn "unknown".
 ROTATION_BUDGET = 5_000_000
+
+#: Vertex labellings one orbit key may try; 7! covers every part of K7.  A
+#: part whose refined cells allow more is keyed by itself.
+MAX_LABELLINGS = 5040
+
+_ANSWER = {"yes": True, "no": False, "unknown": None}
 
 
 def _three_connected(g: WeightedMultigraph, vertices, edges) -> bool:
@@ -127,13 +140,36 @@ def certificate_is_valid(g: WeightedMultigraph, cert: UncrossedSetCertificate) -
     return True
 
 
+def _refine(mat: list[list[int]], colour: list[int]) -> list[int]:
+    """Split vertex colours by their multiset of (pair colour, colour of the
+    other vertex) until the number of colours stops growing or every
+    vertex has its own.
+
+    Pair colours are multiples of n and vertex colours are below n, so each
+    sum names one such combination.  New colours are ranks of sorted
+    signatures, so an isomorphism of the pair matrices keeps colours.
+    """
+    count = len(set(colour))
+    while count < len(colour):
+        sigs = [(c, *sorted(map(operator.add, row, colour))) for c, row in zip(colour, mat)]
+        distinct = sorted(set(sigs))
+        if len(distinct) == count:
+            break
+        rank = {sig: i for i, sig in enumerate(distinct)}
+        colour = [rank[sig] for sig in sigs]
+        count = len(distinct)
+    return colour
+
+
 class RealizabilityContext:
     """Per-graph state for realizability queries.
 
     Face profiles (the surviving rotation systems of one component and
     their face vertex sets) are cached by the component's edge set, so
     covering searches that revisit the same component pay for its rotation
-    enumeration once.
+    enumeration once.  Yes/no answers of :meth:`feasible` are memoized by
+    :meth:`orbit_key`, so parts that an automorphism of G maps onto each
+    other share one query.
     """
 
     def __init__(self, g: WeightedMultigraph):
@@ -141,6 +177,86 @@ class RealizabilityContext:
         self.rotations_spent = 0
         self.profile_cache: dict[frozenset[int], list | None] = {}
         self.g_pairs = g.skeleton()
+        self.orbit_memo: dict[tuple, bool] = {}
+        self._pair_of = [(min(u, v), max(u, v)) for u, v, _ in g.edges]
+        self._pair_edges: dict[tuple[int, int], list[int]] = {}
+        for e, pair in enumerate(self._pair_of):
+            self._pair_edges.setdefault(pair, []).append(e)
+        self._bit = [1 << self._pair_edges[pair].index(e) for e, pair in enumerate(self._pair_of)]
+        self._colour_ids: dict[tuple, int] = {}
+        self._mask_colour: dict[tuple[int, int, int], int] = {}
+        no_edges = [[0] * g.n for _ in range(g.n)]
+        self._g_matrix = self._pair_matrix(no_edges, dict.fromkeys(self._pair_edges, 0))
+        self._g_colour = _refine(self._g_matrix, [0] * g.n)
+        self._symmetric = len(set(self._g_colour)) < g.n
+
+    # -- answers per Aut(G) orbit ------------------------------------------
+
+    def _pair_matrix(self, base, masks: dict[tuple[int, int], int]) -> list[list[int]]:
+        """A copy of the pair-colour matrix ``base``, recoloured at each pair
+        of ``masks``.
+
+        ``masks`` maps a vertex pair to the bits (in :attr:`_bit`) of its
+        parallel edges that lie in the part.  The pair's colour is the
+        sorted (weight, edge in part) tuple over those parallel edges,
+        stored as n times an id fixed for this context; no edge is id 0.
+        """
+        ids, edges = self._colour_ids, self.g.edges
+        mat = [row[:] for row in base]
+        for (u, v), mask in masks.items():
+            colour = self._mask_colour.get((u, v, mask))
+            if colour is None:
+                key = tuple(
+                    sorted((edges[e][2], mask & self._bit[e] > 0) for e in self._pair_edges[(u, v)])
+                )
+                colour = self.g.n * ids.setdefault(key, len(ids) + 1)
+                self._mask_colour[(u, v, mask)] = colour
+            mat[u][v] = mat[v][u] = colour
+        return mat
+
+    def orbit_key(self, part: frozenset[int]):
+        """Canonical key of (G, part), or None when Aut(G) is trivial.
+
+        Equal keys mean some vertex permutation keeps every pair colour of
+        G and maps one part onto the other.  Vertex colours are refined until
+        they stop splitting, then the key is the least pair-colour matrix
+        over every labelling that keeps the refined cells in order.  When
+        the cells allow more than :data:`MAX_LABELLINGS` labellings the key
+        is the part itself, tagged apart from matrices.
+        """
+        if not self._symmetric:
+            return None
+        masks: dict[tuple[int, int], int] = {}
+        for e in part:
+            pair = self._pair_of[e]
+            masks[pair] = masks.get(pair, 0) | self._bit[e]
+        mat = self._pair_matrix(self._g_matrix, masks)
+        colour = _refine(mat, self._g_colour)
+        cells: list[list[int]] = [[] for _ in range(max(colour) + 1)]
+        for v, c in enumerate(colour):
+            cells[c].append(v)
+        if math.prod(math.factorial(len(cell)) for cell in cells) > MAX_LABELLINGS:
+            return (False, part)
+
+        def code(labelling) -> tuple:
+            pick = operator.itemgetter(*itertools.chain.from_iterable(labelling))
+            return tuple(map(pick, pick(mat)))
+
+        return (True, min(map(code, itertools.product(*map(itertools.permutations, cells)))))
+
+    def feasible(self, part: frozenset[int]) -> bool | None:
+        """Realizability of ``part`` as True, False or None (unknown).
+
+        One :meth:`realizable` query answers a whole orbit; an unknown is
+        never memoized, so a later member of its orbit asks again.
+        """
+        key = self.orbit_key(part)
+        ans = self.orbit_memo.get(key)
+        if ans is None:
+            ans = _ANSWER[self.realizable(part).status]
+            if key is not None and ans is not None:
+                self.orbit_memo[key] = ans
+        return ans
 
     # -- cheap necessary conditions ------------------------------------
 
@@ -171,7 +287,8 @@ class RealizabilityContext:
 
         Entries are (succ copy, faces); rotations repeating an earlier face
         vertex-set family are dropped.  Returns None when the rotation cap
-        is exhausted.  ``within`` must equal the required pairs inside this
+        is exhausted, or at once when one vertex's cycle list alone would
+        exceed it.  ``within`` must equal the required pairs inside this
         component, which only depend on the edge set, so results are cached
         by the edge set.  Simple 3-connected components have one embedding
         up to reflection and skip the enumeration.
@@ -189,11 +306,15 @@ class RealizabilityContext:
         seen_families = set()
         count = 0
         exceeded = False
+        budget = None
         if candidates is None:
-            budget = ROTATION_BUDGET - self.rotations_spent
-            candidates = planar_rotations_of_component(g, vertices, edges, half=True)
-        else:
-            budget = None
+            # a degree-d vertex alone lists d * (d-1)! darts of cycles
+            degree = Counter(v for e in edges for v in g.edges[e][:2])
+            if max(d * math.factorial(d - 1) for d in degree.values()) > ROTATION_BUDGET:
+                candidates, exceeded = (), True
+            else:
+                budget = ROTATION_BUDGET - self.rotations_spent
+                candidates = planar_rotations_of_component(g, vertices, edges, half=True)
         for succ in candidates:
             count += 1
             if budget is not None and count > budget:

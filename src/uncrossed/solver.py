@@ -363,11 +363,15 @@ def decide_uncrossed_cost(
 
 
 def _decide(search: _DrawingSearch, max_drawings: int, max_cost: int) -> Decision:
-    """:func:`decide_uncrossed_cost` for a nonplanar graph, on ``search``."""
-    if max_drawings == 1:
-        return Decision("no")  # one drawing of a nonplanar graph always crosses
+    """:func:`decide_uncrossed_cost` for a nonplanar graph, on ``search``.
+
+    Every call ticks the search's budget, so a loop of probes stops too.
+    """
     g = search.g
     try:
+        search.ticker.tick()
+        if max_drawings == 1:
+            return Decision("no")  # one drawing of a nonplanar graph always crosses
         got = search.cover(frozenset(range(g.m)), max_drawings, max_cost)
     except BudgetExhausted:
         return Decision("unknown")
@@ -393,15 +397,16 @@ def uncrossed_crossing_number(
     if graph_planar(g):
         return UcrResult("exact", 0, 1, 0, 0, _trivial_planar_witness(g))
     search = _DrawingSearch(g, budget)  # one budget and cache for every probe
-    lb = max(1, 2 * _euler_count_lb(g))  # two drawings minimum, each crossing
+    # least cost no uncapped probe has ruled out: two drawings, each crossing
+    lb = max(1, 2 * _euler_count_lb(g))
     k = lb
     while True:
         if budget.max_crossings is not None and k > budget.max_crossings:
-            return UcrResult("unknown", None, None, k, None, None)
+            return UcrResult("unknown", None, None, lb, None, None)
         c_level = k if budget.max_drawings is None else min(k, budget.max_drawings)
         dec = _decide(search, c_level, k)
         if dec.verdict == "unknown":
-            return UcrResult("unknown", None, None, k, None, None)
+            return UcrResult("unknown", None, None, lb, None, None)
         if dec.verdict == "yes":
             if c_level < k:
                 # drawing cap may have hidden a cheaper collection
@@ -419,6 +424,8 @@ def uncrossed_crossing_number(
                 witness = lower.witness
                 c_try -= 1
             return UcrResult("exact", ucr, c_try, ucr, ucr, witness)
+        if c_level == k:
+            lb = k + 1  # a capped "no" rules out only collections within the cap
         k += 1
 
 
@@ -429,28 +436,25 @@ def uncrossed_number(g: WeightedMultigraph, budget: SearchBudget = NO_BUDGET) ->
     Realizability is tested on every partial part, so the search abandons
     a part as soon as no superset of it can be realizable.  When the
     budget runs out, the lower bound is the least drawing count that no
-    exhausted level has ruled out.
+    exhausted level has ruled out.  A cover whose certificates exceed the
+    rotation budget is "unknown", with the cover's size as upper bound.
     """
     ctx = RealizabilityContext(g)
-
-    def feasible(part: frozenset[int]):
-        res = ctx.realizable(part)
-        return {"yes": True, "no": False, "unknown": None}[res.status]
-
-    cover = CoverSearch(g, feasible, budget)
+    cover = CoverSearch(g, ctx.feasible, budget)
     out = cover.minimum()
-    certificates = None
+    status, value, certificates = out.status, out.value, None
     if out.parts is not None:
-        certs = []
-        for part in out.parts:
-            res = ctx.realizable(part, want_certificate=True)
-            if res.status != "yes":
-                raise AssertionError("cover part lost realizability on recheck")
-            certs.append(res.certificate)
-        certificates = tuple(certs)
+        certs = [ctx.realizable(part, want_certificate=True) for part in out.parts]
+        if any(res.status == "no" for res in certs):
+            raise AssertionError("cover part lost realizability on recheck")
+        if all(res.status == "yes" for res in certs):
+            certificates = tuple(res.certificate for res in certs)
+        else:
+            # the cover is proven, but a certificate ran out of rotation budget
+            status, value = "unknown", None
     return UncResult(
-        out.status,
-        out.value,
+        status,
+        value,
         out.lower_bound,
         out.upper_bound,
         certificates,

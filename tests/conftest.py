@@ -6,6 +6,10 @@ realizability via exhaustive embedding enumeration.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -17,6 +21,20 @@ from uncrossed.instances import complete, complete_bipartite
 # nothing is stored between runs, and slow examples are not failures
 settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
 settings.load_profile("derandomized")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(code: str, timeout: float) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports the package from
+    ``src``; a hang or a crash there fails only the calling test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=timeout,
+    )
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ from uncrossed.solver import (
     verify_collection,
 )
 
-from conftest import atlas_graphs, edge_id_map
+from conftest import atlas_graphs, edge_id_map, run_python
 
 
 # -- crossing number ---------------------------------------------------------
@@ -450,6 +450,40 @@ def test_ucr_budget_unknown(k33):
     res = uncrossed_crossing_number(k33, SearchBudget(max_crossings=1))
     assert res.status == "unknown"
     assert res.ucr is None
+
+
+def test_drawing_capped_ucr_keeps_a_sound_lower_bound(k5):
+    # a one-drawing probe saying "no" at cost k does not rule out k for
+    # collections of two or more drawings, and ucr(K5) = 2
+    res = uncrossed_crossing_number(k5, SearchBudget(max_drawings=1, max_crossings=50))
+    assert (res.status, res.lower_bound) == ("unknown", 2)
+
+
+def test_drawing_capped_ucr_stops_on_node_and_clock_budgets():
+    code = """
+from uncrossed.instances import complete
+from uncrossed.solver import SearchBudget, uncrossed_crossing_number
+for budget in (
+    SearchBudget(max_drawings=1, wall_clock_seconds=0.1, max_nodes=10),
+    SearchBudget(max_drawings=1, max_nodes=10),
+    SearchBudget(max_drawings=1, wall_clock_seconds=0.1),
+):
+    res = uncrossed_crossing_number(complete(5), budget)
+    print(res.status, res.lower_bound)
+"""
+    out = run_python(code, timeout=60)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.splitlines() == ["unknown 2"] * 3
+
+
+def test_unc_is_unknown_when_a_certificate_exceeds_the_rotation_budget():
+    # the one part is outerplanar, but its certificate would enumerate the
+    # rotations of a degree-11 vertex
+    star = graph_from_edges(12, [(0, v) for v in range(1, 12)])
+    res = uncrossed_number(star)
+    assert (res.status, res.lower_bound, res.upper_bound, res.certificates) == (
+        "unknown", 1, 1, None
+    )
 
 
 def test_unc_budget_unknown(k6):
