@@ -2,15 +2,18 @@ import itertools
 import random
 import time
 
+import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uncrossed.bounds import outerthickness, thickness
 from uncrossed.core import WeightedMultigraph, graph_from_edges
 from uncrossed.covers import (
     MAX_LABELLINGS,
     CoverSearch,
     RealizabilityContext,
     certificate_is_valid,
+    dense_first_order,
     realizable_uncrossed_set,
 )
 from uncrossed.instances import complete, complete_bipartite
@@ -135,6 +138,67 @@ def test_cover_minimum_on_edgeless_graph():
     cover = CoverSearch(g, lambda part: True)
     out = cover.minimum()
     assert out.status == "exact" and out.value == 1
+
+
+def _restricted_growth_strings(m: int, c: int, prefix=()):
+    """Every partition of m ordered items into at most c blocks, as block
+    indices in lexicographic order; a block opens only after the ones
+    before it."""
+    if len(prefix) == m:
+        yield prefix
+        return
+    for i in range(min(max(prefix, default=-1) + 2, c)):
+        yield from _restricted_growth_strings(m, c, prefix + (i,))
+
+
+def _nx_part_ok(g, part, outer: bool) -> bool:
+    """networkx planarity of the part, or of the part plus an apex joined to
+    every vertex (outerplanarity)."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n + 1))
+    h.add_edges_from(g.endpoints(e) for e in part)
+    if outer:
+        h.add_edges_from((v, g.n) for v in range(g.n))
+    return nx.check_planarity(h)[0]
+
+
+def first_cover(g, outer: bool):
+    """Least c and the lexicographically first partition of
+    :func:`dense_first_order` into at most c parts that all pass."""
+    order = dense_first_order(g)
+    verdicts: dict = {}
+    for c in itertools.count(1):
+        for rgs in _restricted_growth_strings(g.m, c):
+            parts = tuple(
+                frozenset(e for e, b in zip(order, rgs) if b == i) for i in range(len(set(rgs)))
+            )
+            for p in parts:
+                if p not in verdicts:
+                    verdicts[p] = _nx_part_ok(g, p, outer)
+            if all(verdicts[p] for p in parts):
+                return c, parts
+
+
+@st.composite
+def small_multigraphs(draw):
+    """Weighted multigraphs of at most 8 edges: distinct vertex pairs first,
+    then parallel copies of some of them."""
+    n = draw(st.integers(3, 5))
+    all_pairs = list(itertools.combinations(range(n), 2))
+    k = draw(st.integers(0, min(8, len(all_pairs))))
+    pairs = draw(st.lists(st.sampled_from(all_pairs), min_size=k, max_size=k, unique=True))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=8 - k))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(pairs), max_size=len(pairs)))
+    return WeightedMultigraph(n, tuple((u, v, w) for (u, v), w in zip(pairs, weights)))
+
+
+@settings(max_examples=300)
+@given(small_multigraphs())
+def test_cover_parts_match_first_restricted_growth_string(g):
+    for solve, outer in ((thickness, False), (outerthickness, True)):
+        r = solve(g)
+        assert (r.status, r.value, r.parts) == ("exact", *first_cover(g, outer))
 
 
 def test_high_degree_component_is_unknown_before_enumerating():

@@ -14,11 +14,13 @@ networkx 3.6.1).
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from uncrossed.core import graph_from_edges
+from uncrossed.bounds import outerthickness, thickness
+from uncrossed.core import WeightedMultigraph, graph_from_edges
 from uncrossed.covers import RealizabilityContext
 from uncrossed.files import serialize_witness, witness_to_document
 from uncrossed.instances import (
@@ -36,6 +38,8 @@ from uncrossed.solver import (
     uncrossed_crossing_number,
     uncrossed_number,
 )
+
+from conftest import atlas_graphs
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = GOLDEN / "MANIFEST.sha256"
@@ -120,12 +124,44 @@ def _witness_text(n: int) -> str:
     return serialize_witness(witness_to_document(rotating_path_collection(n), graph=complete(n)))
 
 
+def relabelled(g, seed: int) -> WeightedMultigraph:
+    """``g`` with its vertices permuted and its edge ids shuffled."""
+    rng = random.Random(seed)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v], w) for u, v, w in g.edges]
+    rng.shuffle(edges)
+    return WeightedMultigraph(g.n, tuple(edges))
+
+
+def covers_text(solve, graphs) -> str:
+    """One line per graph: status, value and the parts found, each sorted."""
+    lines = []
+    for g in graphs:
+        r = solve(g)
+        lines.append(f"{r.status} {r.value} {sorted(sorted(p) for p in r.parts)}\n")
+    return "".join(lines)
+
+
+def atlas_with_edges():
+    """Every graph of the networkx atlas (up to seven vertices) with an edge."""
+    return [g for g in atlas_graphs(7) if g.m]
+
+
+def k7_relabelled():
+    return [relabelled(complete(7), seed) for seed in (1, 2, 3)]
+
+
 #: bulk outputs kept as digests only
 BULK = {
     **{f"rotating_path_collection/n={n:02d}": (lambda n=n: _witness_text(n)) for n in range(5, 17)},
     "realizable/K5": lambda: realizable_text(complete(5)),
     "realizable/K3,3": lambda: realizable_text(complete_bipartite(3, 3)),
     "realizable/prism": lambda: realizable_text(triangular_prism()),
+    "thickness/atlas": lambda: covers_text(thickness, atlas_with_edges()),
+    "outerthickness/atlas": lambda: covers_text(outerthickness, atlas_with_edges()),
+    "thickness/K7 relabelled": lambda: covers_text(thickness, k7_relabelled()),
+    "outerthickness/K7 relabelled": lambda: covers_text(outerthickness, k7_relabelled()),
     "enumerate_embeddings/K4": lambda: embeddings_text(complete(4)),
     "enumerate_embeddings/2K3+K1": lambda: embeddings_text(
         graph_from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
