@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import NO_BUDGET, PreconditionError, SearchBudget, WeightedMultigraph
-from .covers import CoverResult, CoverSearch
+from .covers import CoverResult, CoverSearch, PairColours
 from .planarity import skeleton_outerplanar, skeleton_planar
 
 
@@ -43,7 +43,7 @@ def thickness(g: WeightedMultigraph, budget: SearchBudget = NO_BUDGET) -> CoverR
     def planar_part(part: frozenset[int]) -> bool:
         return skeleton_planar(g.skeleton(part))
 
-    return CoverSearch(g, planar_part, budget).minimum()
+    return CoverSearch(g, planar_part, budget, PairColours(g).partition_key).minimum()
 
 
 def outerthickness(g: WeightedMultigraph, budget: SearchBudget = NO_BUDGET) -> CoverResult:
@@ -56,7 +56,7 @@ def outerthickness(g: WeightedMultigraph, budget: SearchBudget = NO_BUDGET) -> C
     def outerplanar_part(part: frozenset[int]) -> bool:
         return skeleton_outerplanar(g.skeleton(part), g.n)
 
-    return CoverSearch(g, outerplanar_part, budget).minimum()
+    return CoverSearch(g, outerplanar_part, budget, PairColours(g).partition_key).minimum()
 
 
 def ucr_lower_bound(g: WeightedMultigraph) -> BoundReport:

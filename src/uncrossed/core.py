@@ -62,7 +62,8 @@ NO_BUDGET = SearchBudget()
 
 class Ticker:
     """Counts search nodes and raises :class:`BudgetExhausted` once the
-    budget's node limit or wall clock runs out."""
+    budget's node limit or wall clock runs out; with a wall clock set, every
+    node reads the clock."""
 
     def __init__(self, budget: SearchBudget):
         self.max_nodes = budget.max_nodes
@@ -77,9 +78,8 @@ class Ticker:
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise BudgetExhausted
-        if self.deadline is not None and self.nodes % 256 == 0:
-            if time.monotonic() > self.deadline:
-                raise BudgetExhausted
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExhausted
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,11 @@ the exhaustive covering searches affordable.  Its :meth:`~RealizabilityContext.f
 answers each orbit of a part under Aut(G) once, keyed by a canonical
 labelling of G with the part's edges coloured (the colour refinement and
 cell-wise labelling search of McKay & Piperno, "Practical graph isomorphism
-II", J. Symb. Comput. 60, 2014, without search-tree pruning).
+II", J. Symb. Comput. 60, 2014, without search-tree pruning).  The same
+labelling, applied to partial partitions (:class:`PairColours`), lets
+:class:`CoverSearch` skip subtrees equivalent under Aut(G) to an exhausted
+one (isomorph rejection as in McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998).
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import networkx as nx
 from .core import NO_BUDGET, BudgetExhausted, SearchBudget, Ticker, WeightedMultigraph
 from .planarity import (
     Embedding,
+    _darts_at,
     build_embedding,
     component_faces,
     planar_rotations_of_component,
@@ -161,6 +166,96 @@ def _refine(mat: list[list[int]], colour: list[int]) -> list[int]:
     return colour
 
 
+class PairColours:
+    """Canonical forms of G with its edges labelled, under Aut(G).
+
+    A labelling maps edge ids to positive labels; every other edge has
+    label 0.  A vertex pair is coloured by the sorted (weight, label) tuple
+    over its parallel edges, stored as n times an id fixed for this object
+    (no edge is id 0), so two labellings get equal :meth:`form` exactly when
+    some vertex permutation keeping every pair colour of G maps one onto
+    the other.
+    """
+
+    def __init__(self, g: WeightedMultigraph):
+        self.g = g
+        self._pair_of = [(min(u, v), max(u, v)) for u, v, _ in g.edges]
+        self._pair_edges: dict[tuple[int, int], list[int]] = {}
+        for e, pair in enumerate(self._pair_of):
+            self._pair_edges.setdefault(pair, []).append(e)
+        # a pair's labels as one number: label times radix ** (index among parallels)
+        self._radix = g.m + 1
+        self._place = [self._radix ** self._pair_edges[p].index(e) for e, p in enumerate(self._pair_of)]
+        self._colour_ids: dict[tuple, int] = {}
+        self._pair_colour: dict[tuple[int, int, int], int] = {}
+        self.matrix = [[0] * g.n for _ in range(g.n)]  # 0: no edge joins the pair
+        self.matrix = self._recoloured(dict.fromkeys(self._pair_edges, 0))
+        self.colour = _refine(self.matrix, [0] * g.n)
+        #: False when refinement separates every vertex, so Aut(G) is trivial
+        self.symmetric = len(set(self.colour)) < g.n
+
+    def _recoloured(self, marks: dict[tuple[int, int], int]) -> list[list[int]]:
+        """A copy of :attr:`matrix` recoloured at each pair of ``marks``,
+        which holds the labels of the pair's parallel edges as one number."""
+        edges, ids, radix = self.g.edges, self._colour_ids, self._radix
+        mat = [row[:] for row in self.matrix]
+        for (u, v), mark in marks.items():
+            colour = self._pair_colour.get((u, v, mark))
+            if colour is None:
+                parallel = self._pair_edges[(u, v)]
+                key = tuple(sorted((edges[e][2], mark // self._place[e] % radix) for e in parallel))
+                colour = self.g.n * ids.setdefault(key, len(ids) + 1)
+                self._pair_colour[(u, v, mark)] = colour
+            mat[u][v] = mat[v][u] = colour
+        return mat
+
+    def form(self, labels: dict[int, int]) -> tuple | None:
+        """Least pair-colour matrix of the labelled G, or None when its
+        refined cells allow more than :data:`MAX_LABELLINGS` labellings.
+
+        Vertex colours are refined from G's until they stop splitting; the
+        minimum runs over every labelling that keeps the cells in order.
+        """
+        marks: dict[tuple[int, int], int] = {}
+        for e, label in labels.items():
+            pair = self._pair_of[e]
+            marks[pair] = marks.get(pair, 0) + label * self._place[e]
+        mat = self._recoloured(marks)
+        colour = _refine(mat, self.colour)
+        cells: list[list[int]] = [[] for _ in range(max(colour) + 1)]
+        for v, c in enumerate(colour):
+            cells[c].append(v)
+        if math.prod(math.factorial(len(cell)) for cell in cells) > MAX_LABELLINGS:
+            return None
+
+        def code(labelling) -> tuple:
+            pick = operator.itemgetter(*itertools.chain.from_iterable(labelling))
+            return tuple(map(pick, pick(mat)))
+
+        return min(map(code, itertools.product(*map(itertools.permutations, cells))))
+
+    def partition_key(self, parts) -> tuple | None:
+        """Canonical key of a partial partition of E(G), or None.
+
+        Parts are labelled 1, 2, ... in order of size and the key is the
+        least :meth:`form` over the orders of equal-sized parts, so equal
+        keys mean some automorphism of G maps the parts of one onto the
+        parts of the other (and unplaced edges onto unplaced edges).  None
+        when Aut(G) is trivial, when there are fewer than two parts (the
+        placed edges then have one such partition) or when a form passes
+        :data:`MAX_LABELLINGS`: no other partition of the same edges can be
+        told equivalent then.
+        """
+        if not self.symmetric or len(parts) < 2:
+            return None
+        groups = [list(same) for _, same in itertools.groupby(sorted(parts, key=len), key=len)]
+        forms = []
+        for order in itertools.product(*map(itertools.permutations, groups)):
+            numbered = enumerate(itertools.chain.from_iterable(order), 1)
+            forms.append(self.form({e: label for label, part in numbered for e in part}))
+        return None if None in forms else min(forms)
+
+
 class RealizabilityContext:
     """Per-graph state for realizability queries.
 
@@ -178,71 +273,23 @@ class RealizabilityContext:
         self.profile_cache: dict[frozenset[int], list | None] = {}
         self.g_pairs = g.skeleton()
         self.orbit_memo: dict[tuple, bool] = {}
-        self._pair_of = [(min(u, v), max(u, v)) for u, v, _ in g.edges]
-        self._pair_edges: dict[tuple[int, int], list[int]] = {}
-        for e, pair in enumerate(self._pair_of):
-            self._pair_edges.setdefault(pair, []).append(e)
-        self._bit = [1 << self._pair_edges[pair].index(e) for e, pair in enumerate(self._pair_of)]
-        self._colour_ids: dict[tuple, int] = {}
-        self._mask_colour: dict[tuple[int, int, int], int] = {}
-        no_edges = [[0] * g.n for _ in range(g.n)]
-        self._g_matrix = self._pair_matrix(no_edges, dict.fromkeys(self._pair_edges, 0))
-        self._g_colour = _refine(self._g_matrix, [0] * g.n)
-        self._symmetric = len(set(self._g_colour)) < g.n
+        self.colours = PairColours(g)
 
     # -- answers per Aut(G) orbit ------------------------------------------
-
-    def _pair_matrix(self, base, masks: dict[tuple[int, int], int]) -> list[list[int]]:
-        """A copy of the pair-colour matrix ``base``, recoloured at each pair
-        of ``masks``.
-
-        ``masks`` maps a vertex pair to the bits (in :attr:`_bit`) of its
-        parallel edges that lie in the part.  The pair's colour is the
-        sorted (weight, edge in part) tuple over those parallel edges,
-        stored as n times an id fixed for this context; no edge is id 0.
-        """
-        ids, edges = self._colour_ids, self.g.edges
-        mat = [row[:] for row in base]
-        for (u, v), mask in masks.items():
-            colour = self._mask_colour.get((u, v, mask))
-            if colour is None:
-                key = tuple(
-                    sorted((edges[e][2], mask & self._bit[e] > 0) for e in self._pair_edges[(u, v)])
-                )
-                colour = self.g.n * ids.setdefault(key, len(ids) + 1)
-                self._mask_colour[(u, v, mask)] = colour
-            mat[u][v] = mat[v][u] = colour
-        return mat
 
     def orbit_key(self, part: frozenset[int]):
         """Canonical key of (G, part), or None when Aut(G) is trivial.
 
         Equal keys mean some vertex permutation keeps every pair colour of
-        G and maps one part onto the other.  Vertex colours are refined until
-        they stop splitting, then the key is the least pair-colour matrix
-        over every labelling that keeps the refined cells in order.  When
-        the cells allow more than :data:`MAX_LABELLINGS` labellings the key
-        is the part itself, tagged apart from matrices.
+        G and maps one part onto the other: the part's edges are labelled 1
+        in :meth:`PairColours.form`.  When the refined cells allow more than
+        :data:`MAX_LABELLINGS` labellings the key is the part itself, tagged
+        apart from matrices.
         """
-        if not self._symmetric:
+        if not self.colours.symmetric:
             return None
-        masks: dict[tuple[int, int], int] = {}
-        for e in part:
-            pair = self._pair_of[e]
-            masks[pair] = masks.get(pair, 0) | self._bit[e]
-        mat = self._pair_matrix(self._g_matrix, masks)
-        colour = _refine(mat, self._g_colour)
-        cells: list[list[int]] = [[] for _ in range(max(colour) + 1)]
-        for v, c in enumerate(colour):
-            cells[c].append(v)
-        if math.prod(math.factorial(len(cell)) for cell in cells) > MAX_LABELLINGS:
-            return (False, part)
-
-        def code(labelling) -> tuple:
-            pick = operator.itemgetter(*itertools.chain.from_iterable(labelling))
-            return tuple(map(pick, pick(mat)))
-
-        return (True, min(map(code, itertools.product(*map(itertools.permutations, cells)))))
+        form = self.colours.form(dict.fromkeys(part, 1))
+        return (False, part) if form is None else (True, form)
 
     def feasible(self, part: frozenset[int]) -> bool | None:
         """Realizability of ``part`` as True, False or None (unknown).
@@ -290,15 +337,23 @@ class RealizabilityContext:
         is exhausted, or at once when one vertex's cycle list alone would
         exceed it.  ``within`` must equal the required pairs inside this
         component, which only depend on the edge set, so results are cached
-        by the edge set.  Simple 3-connected components have one embedding
-        up to reflection and skip the enumeration.
+        by the edge set.  Trees and simple 3-connected components have one
+        face vertex-set family and skip the enumeration: a tree takes the
+        enumerator's first rotation (every vertex's darts in sorted order).
         """
         key = frozenset(edges)
         if key in self.profile_cache:
             return self.profile_cache[key]
         g = self.g
         candidates = None
-        if len(edges) == len(g.skeleton(edges)):
+        if len(edges) == len(vertices) - 1:
+            succ = [0] * (2 * g.m)
+            for darts in _darts_at(g, vertices, edges).values():
+                darts.sort()
+                for d, nxt in zip(darts, darts[1:] + darts[:1]):
+                    succ[d] = nxt
+            candidates = [succ]
+        elif len(edges) == len(g.skeleton(edges)):
             if _three_connected(g, vertices, edges):
                 succ = _single_lr_rotation(g, vertices, edges)
                 candidates = [succ]
@@ -605,11 +660,22 @@ class CoverSearch:
     in :func:`dense_first_order`.  ``lower_bound`` is the least part count
     not yet ruled out by an exhausted level, also after the budget
     interrupts :meth:`minimum`.
+
+    With a ``keyer`` (such as :meth:`PairColours.partition_key`),
+    :meth:`cover_with` skips every subtree whose partial partition an
+    automorphism of G maps onto one it has exhausted.  Every node at one
+    depth has placed the same edges, and ``feasible`` must be invariant
+    under Aut(G), so such a subtree holds no cover either.  A subtree is
+    remembered only when it found nothing and saw no unknown, so the first
+    cover found is the one the full search finds; a skipped subtree counts
+    as one node.  The uncrossed number passes no keyer yet: its benchmark
+    prefix is pinned to the node count of the full search.
     """
 
-    def __init__(self, g: WeightedMultigraph, feasible, budget: SearchBudget = NO_BUDGET):
+    def __init__(self, g: WeightedMultigraph, feasible, budget: SearchBudget = NO_BUDGET, keyer=None):
         self.g = g
         self.feasible = feasible
+        self.keyer = keyer
         self.max_parts = budget.max_drawings
         self.ticker = Ticker(budget)
         self.edge_order = dense_first_order(g)
@@ -636,7 +702,9 @@ class CoverSearch:
         m = self.g.m
         order = self.edge_order
         tick = self.ticker.tick
+        keyer = self.keyer
         parts: list[set[int]] = []
+        exhausted: set = set()  # keys of subtrees that found no cover and saw no unknown
 
         def place(depth: int):
             tick()
@@ -645,6 +713,17 @@ class CoverSearch:
                 if all(self.feasible_cached(p) is True for p in final):
                     return tuple(final)
                 return None
+            key = None if keyer is None else keyer(parts)
+            if key is not None and key in exhausted:
+                return None
+            unknown_before, self.saw_unknown = self.saw_unknown, False
+            got = branch(depth)
+            if got is None and key is not None and not self.saw_unknown:
+                exhausted.add(key)
+            self.saw_unknown |= unknown_before
+            return got
+
+        def branch(depth: int):
             eid = order[depth]
             limit = min(len(parts) + 1, c)
             for i in range(limit):

@@ -3,6 +3,7 @@ import random
 import time
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,13 +12,14 @@ from uncrossed.core import WeightedMultigraph, graph_from_edges
 from uncrossed.covers import (
     MAX_LABELLINGS,
     CoverSearch,
+    PairColours,
     RealizabilityContext,
     certificate_is_valid,
     dense_first_order,
     realizable_uncrossed_set,
 )
 from uncrossed.instances import complete, complete_bipartite
-from uncrossed.planarity import enumerate_embeddings, graph_planar
+from uncrossed.planarity import enumerate_embeddings, graph_planar, skeleton_outerplanar
 
 from conftest import atlas_graphs, cycle, edge_id_map, run_python
 
@@ -232,20 +234,29 @@ _SYMMETRIC = {
 }
 
 
-def _pair_colours(g, part) -> dict:
-    """Sorted (weight, in part) list per vertex pair, computed from scratch."""
+def _pair_colours(g, labels) -> dict:
+    """Sorted (weight, label) list per vertex pair, computed from scratch;
+    edges missing from ``labels`` have label 0."""
     colours: dict = {}
     for e, (u, v, w) in enumerate(g.edges):
-        colours.setdefault((min(u, v), max(u, v)), []).append((w, e in part))
+        colours.setdefault((min(u, v), max(u, v)), []).append((w, labels.get(e, 0)))
     return {pair: tuple(sorted(c)) for pair, c in colours.items()}
 
 
-def _brute_form(g, part) -> tuple:
+def _brute_form(g, labels) -> tuple:
     """Least relabelled pair colouring over all n! vertex permutations."""
-    colours = _pair_colours(g, part).items()
+    colours = _pair_colours(g, labels).items()
     return min(
         tuple(sorted((min(p[u], p[v]), max(p[u], p[v]), c) for (u, v), c in colours))
         for p in itertools.permutations(range(g.n))
+    )
+
+
+def _brute_partition_form(g, parts) -> tuple:
+    """Least :func:`_brute_form` over every numbering of the parts."""
+    return min(
+        _brute_form(g, {e: label for label, part in zip(order, parts) for e in part})
+        for order in itertools.permutations(range(1, len(parts) + 1))
     )
 
 
@@ -277,9 +288,82 @@ def test_orbit_key_is_exact_on_small_graphs():
             parts = [frozenset(rng.sample(range(g.m), rng.randint(0, g.m))) for _ in range(150)]
         ctx = RealizabilityContext(g)
         keys = [ctx.orbit_key(p) for p in parts]
-        forms = [_brute_form(g, p) for p in parts]
+        forms = [_brute_form(g, dict.fromkeys(p, 1)) for p in parts]
         assert all(key[0] for key in keys), name  # no part hit the labelling bound
         assert len(set(keys)) == len(set(forms)) == len(set(zip(keys, forms))), name
+
+
+def test_partition_key_is_exact_on_small_graphs():
+    # partial partitions of random edge sets into 2-3 parts, plus their
+    # images under random vertex permutations with the parts reordered:
+    # equal keys exactly when some automorphism maps parts onto parts
+    rng = random.Random(5)
+    for name, g in _SYMMETRIC.items():
+        partitions = []
+        while len(partitions) < 40:
+            placed = rng.sample(range(g.m), rng.randint(2, g.m))
+            k = rng.randint(2, 3)
+            blocks = [rng.randrange(k) for _ in placed]
+            parts = [{e for e, b in zip(placed, blocks) if b == i} for i in range(k)]
+            parts = [p for p in parts if p]
+            if len(parts) < 2:
+                continue
+            partitions.append(parts)
+            perm = rng.sample(range(g.n), g.n)
+            images = [_image(g, p, perm) for p in parts]
+            if None not in images:
+                partitions.append(rng.sample(images, len(images)))
+        colours = PairColours(g)
+        keys = [colours.partition_key(p) for p in partitions]
+        forms = [_brute_partition_form(g, p) for p in partitions]
+        assert None not in keys, name
+        assert len(set(keys)) == len(set(forms)) == len(set(zip(keys, forms))), name
+        assert len(set(keys)) < len(keys), name  # some images were found
+
+
+def test_partition_key_skips_what_cannot_recur():
+    colours = PairColours(complete(5))
+    assert colours.partition_key([]) is None
+    assert colours.partition_key([{0, 1, 2}]) is None
+    asymmetric = WeightedMultigraph(3, ((0, 1, 1), (1, 2, 2), (0, 2, 3)))
+    assert PairColours(asymmetric).partition_key([{0}, {1}]) is None
+
+
+def _outerplanar(g):
+    return lambda part: skeleton_outerplanar(g.skeleton(part), g.n)
+
+
+def test_keyed_cover_search_of_k7_visits_few_nodes(k7):
+    # the failing level 2 alone visits 59,640 nodes without the keyer
+    search = CoverSearch(k7, _outerplanar(k7), keyer=PairColours(k7).partition_key)
+    out = search.minimum()
+    assert (out.status, out.value) == ("exact", 3)
+    assert search.nodes <= 1000
+
+
+@pytest.mark.parametrize("name", sorted(_SYMMETRIC))
+@pytest.mark.parametrize("unknowns", [1, 4, 16, 64])
+def test_keyed_cover_search_forgets_subtrees_that_saw_unknown(name, unknowns):
+    # the first distinct parts asked are unknown and later ones are not, so
+    # an image of a subtree that saw an unknown may still hold a cover
+    g = _SYMMETRIC[name]
+
+    def search(keyer):
+        asked = set()
+        outerplanar = _outerplanar(g)
+
+        def feasible(part):
+            if len(asked) < unknowns:
+                asked.add(part)
+                return None
+            return outerplanar(part)
+
+        return CoverSearch(g, feasible, keyer=keyer).minimum()
+
+    keyed = search(PairColours(g).partition_key)
+    assert keyed == search(None)
+    # the first part asked is unknown, so level 1 is not ruled out
+    assert (keyed.status, keyed.lower_bound, keyed.upper_bound) == ("unknown", 1, 2)
 
 
 @settings(max_examples=60)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -478,15 +479,28 @@ for budget in (
 
 def test_unc_is_unknown_when_a_certificate_exceeds_the_rotation_budget():
     # the one part is outerplanar, but its certificate would enumerate the
-    # rotations of a degree-11 vertex
-    star = graph_from_edges(12, [(0, v) for v in range(1, 12)])
-    res = uncrossed_number(star)
+    # rotations of a degree-11 vertex; the rim edge keeps it from being a tree
+    star = [(0, v) for v in range(1, 12)]
+    res = uncrossed_number(graph_from_edges(12, star + [(1, 2)]))
     assert (res.status, res.lower_bound, res.upper_bound, res.certificates) == (
         "unknown", 1, 1, None
     )
+    # a tree has one face, so its certificate needs no enumeration
+    tree = graph_from_edges(12, star)
+    res = uncrossed_number(tree)
+    assert (res.status, res.value, len(res.certificates)) == ("exact", 1, 1)
+    assert certificate_is_valid(tree, res.certificates[0])
 
 
 def test_unc_budget_unknown(k6):
     res = uncrossed_number(k6, SearchBudget(max_nodes=3))
     assert res.status == "unknown"
     assert res.value is None
+
+
+def test_unc_wall_clock_budget_stops_promptly(k7):
+    # every cover node reads the clock, so the search overruns by one node
+    start = time.perf_counter()
+    res = uncrossed_number(k7, SearchBudget(wall_clock_seconds=0.05))
+    assert res.status == "unknown"
+    assert time.perf_counter() - start < 0.5
