@@ -185,7 +185,9 @@ class PairColours:
             self._pair_edges.setdefault(pair, []).append(e)
         # a pair's labels as one number: label times radix ** (index among parallels)
         self._radix = g.m + 1
-        self._place = [self._radix ** self._pair_edges[p].index(e) for e, p in enumerate(self._pair_of)]
+        self._place = [
+            self._radix ** self._pair_edges[pair].index(e) for e, pair in enumerate(self._pair_of)
+        ]
         self._colour_ids: dict[tuple, int] = {}
         self._pair_colour: dict[tuple[int, int, int], int] = {}
         self.matrix = [[0] * g.n for _ in range(g.n)]  # 0: no edge joins the pair
@@ -672,7 +674,9 @@ class CoverSearch:
     prefix is pinned to the node count of the full search.
     """
 
-    def __init__(self, g: WeightedMultigraph, feasible, budget: SearchBudget = NO_BUDGET, keyer=None):
+    def __init__(
+        self, g: WeightedMultigraph, feasible, budget: SearchBudget = NO_BUDGET, keyer=None
+    ):
         self.g = g
         self.feasible = feasible
         self.keyer = keyer

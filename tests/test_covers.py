@@ -164,7 +164,7 @@ def _nx_part_ok(g, part, outer: bool) -> bool:
     return nx.check_planarity(h)[0]
 
 
-def first_cover(g, outer: bool):
+def _first_cover(g, outer: bool):
     """Least c and the lexicographically first partition of
     :func:`dense_first_order` into at most c parts that all pass."""
     order = dense_first_order(g)
@@ -200,7 +200,7 @@ def small_multigraphs(draw):
 def test_cover_parts_match_first_restricted_growth_string(g):
     for solve, outer in ((thickness, False), (outerthickness, True)):
         r = solve(g)
-        assert (r.status, r.value, r.parts) == ("exact", *first_cover(g, outer))
+        assert (r.status, r.value, r.parts) == ("exact", *_first_cover(g, outer))
 
 
 def test_high_degree_component_is_unknown_before_enumerating():
@@ -347,10 +347,10 @@ def test_keyed_cover_search_forgets_subtrees_that_saw_unknown(name, unknowns):
     # the first distinct parts asked are unknown and later ones are not, so
     # an image of a subtree that saw an unknown may still hold a cover
     g = _SYMMETRIC[name]
+    outerplanar = _outerplanar(g)
 
     def search(keyer):
         asked = set()
-        outerplanar = _outerplanar(g)
 
         def feasible(part):
             if len(asked) < unknowns:
