@@ -6,7 +6,8 @@ edges.  It witnesses ucr(K_n) = O(n^5); exact counts come out far below the
 closed-form bound for small n.
 
 The K7 computation exhausts all 2-covers by realizable uncrossed sets to
-certify unc(K7) > 2, then finds a 3-cover.  Expect a couple of minutes.
+certify unc(K7) > 2, then finds a 3-cover.  It took about 9 s on a 2-vCPU
+host with CPython 3.11.7.
 """
 
 import time

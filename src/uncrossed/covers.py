@@ -36,12 +36,20 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .core import NO_BUDGET, BudgetExhausted, SearchBudget, Ticker, WeightedMultigraph
+from .core import (
+    NO_BUDGET,
+    BudgetExhausted,
+    PreconditionError,
+    SearchBudget,
+    Ticker,
+    WeightedMultigraph,
+)
 from .planarity import (
     Embedding,
     _darts_at,
     build_embedding,
     component_faces,
+    components_of,
     planar_rotations_of_component,
     rotation_from_succ,
     skeleton_outerplanar,
@@ -52,8 +60,8 @@ from .planarity import (
 #: subtrees do not count) before its answers turn "unknown".
 ROTATION_BUDGET = 5_000_000
 
-#: Vertex labellings one orbit key may try; 7! covers every part of K7.  A
-#: part whose refined cells allow more is keyed by itself.
+#: Vertex labellings one canonical form may try; 7! covers every part of K7.
+#: A labelled G whose refined cells allow more gets no form.
 MAX_LABELLINGS = 5040
 
 _ANSWER = {"yes": True, "no": False, "unknown": None}
@@ -132,15 +140,22 @@ class RealizabilityResult:
 
 
 def certificate_is_valid(g: WeightedMultigraph, cert: UncrossedSetCertificate) -> bool:
-    """Independent check of an uncrossed-set certificate."""
+    """Independent check of an uncrossed-set certificate.
+
+    ``edge_subset`` must be sorted, distinct edge ids of g, and the
+    embedding must be of the spanning subgraph they keep.
+    """
     s = set(cert.edge_subset)
+    kept = list(cert.edge_subset)
+    if kept != sorted(s & set(range(g.m))) or cert.embedding.graph != g.spanning_subgraph(kept):
+        return False
     hosted = dict(cert.hosting)
     face_verts = {f.id: f.vertices for f in cert.embedding.faces}
     for eid in range(g.m):
         if eid in s:
             continue
         u, v, _ = g.edges[eid]
-        if eid not in hosted or not {u, v} <= face_verts[hosted[eid]]:
+        if eid not in hosted or not {u, v} <= face_verts.get(hosted[eid], frozenset()):
             return False
     return True
 
@@ -174,7 +189,7 @@ class PairColours:
     over its parallel edges, stored as n times an id fixed for this object
     (no edge is id 0), so two labellings get equal :meth:`form` exactly when
     some vertex permutation keeping every pair colour of G maps one onto
-    the other.
+    the other.  :meth:`form` alone decides when there is no key.
     """
 
     def __init__(self, g: WeightedMultigraph):
@@ -193,8 +208,8 @@ class PairColours:
         self.matrix = [[0] * g.n for _ in range(g.n)]  # 0: no edge joins the pair
         self.matrix = self._recoloured(dict.fromkeys(self._pair_edges, 0))
         self.colour = _refine(self.matrix, [0] * g.n)
-        #: False when refinement separates every vertex, so Aut(G) is trivial
-        self.symmetric = len(set(self.colour)) < g.n
+        # refinement separating every vertex means Aut(G) is trivial
+        self._symmetric = len(set(self.colour)) < g.n
 
     def _recoloured(self, marks: dict[tuple[int, int], int]) -> list[list[int]]:
         """A copy of :attr:`matrix` recoloured at each pair of ``marks``,
@@ -212,12 +227,15 @@ class PairColours:
         return mat
 
     def form(self, labels: dict[int, int]) -> tuple | None:
-        """Least pair-colour matrix of the labelled G, or None when its
-        refined cells allow more than :data:`MAX_LABELLINGS` labellings.
+        """Least pair-colour matrix of the labelled G, or None when Aut(G)
+        is trivial (no other labelling can be equivalent) or the refined
+        cells allow more than :data:`MAX_LABELLINGS` labellings.
 
         Vertex colours are refined from G's until they stop splitting; the
         minimum runs over every labelling that keeps the cells in order.
         """
+        if not self._symmetric:
+            return None
         marks: dict[tuple[int, int], int] = {}
         for e, label in labels.items():
             pair = self._pair_of[e]
@@ -243,19 +261,17 @@ class PairColours:
         least :meth:`form` over the orders of equal-sized parts, so equal
         keys mean some automorphism of G maps the parts of one onto the
         parts of the other (and unplaced edges onto unplaced edges).  None
-        when Aut(G) is trivial, when there are fewer than two parts (the
-        placed edges then have one such partition) or when a form passes
-        :data:`MAX_LABELLINGS`: no other partition of the same edges can be
-        told equivalent then.
+        at the first :meth:`form` that is None.
         """
-        if not self.symmetric or len(parts) < 2:
-            return None
         groups = [list(same) for _, same in itertools.groupby(sorted(parts, key=len), key=len)]
         forms = []
         for order in itertools.product(*map(itertools.permutations, groups)):
             numbered = enumerate(itertools.chain.from_iterable(order), 1)
-            forms.append(self.form({e: label for label, part in numbered for e in part}))
-        return None if None in forms else min(forms)
+            form = self.form({e: label for label, part in numbered for e in part})
+            if form is None:
+                return None
+            forms.append(form)
+        return min(forms)
 
 
 class RealizabilityContext:
@@ -265,8 +281,8 @@ class RealizabilityContext:
     their face vertex sets) are cached by the component's edge set, so
     covering searches that revisit the same component pay for its rotation
     enumeration once.  Yes/no answers of :meth:`feasible` are memoized by
-    :meth:`orbit_key`, so parts that an automorphism of G maps onto each
-    other share one query.
+    the part's :meth:`PairColours.form`, so parts that an automorphism of G
+    maps onto each other share one query.
     """
 
     def __init__(self, g: WeightedMultigraph):
@@ -277,29 +293,15 @@ class RealizabilityContext:
         self.orbit_memo: dict[tuple, bool] = {}
         self.colours = PairColours(g)
 
-    # -- answers per Aut(G) orbit ------------------------------------------
-
-    def orbit_key(self, part: frozenset[int]):
-        """Canonical key of (G, part), or None when Aut(G) is trivial.
-
-        Equal keys mean some vertex permutation keeps every pair colour of
-        G and maps one part onto the other: the part's edges are labelled 1
-        in :meth:`PairColours.form`.  When the refined cells allow more than
-        :data:`MAX_LABELLINGS` labellings the key is the part itself, tagged
-        apart from matrices.
-        """
-        if not self.colours.symmetric:
-            return None
-        form = self.colours.form(dict.fromkeys(part, 1))
-        return (False, part) if form is None else (True, form)
-
     def feasible(self, part: frozenset[int]) -> bool | None:
         """Realizability of ``part`` as True, False or None (unknown).
 
-        One :meth:`realizable` query answers a whole orbit; an unknown is
-        never memoized, so a later member of its orbit asks again.
+        One :meth:`realizable` query answers a whole Aut(G) orbit, keyed by
+        the form of G with the part's edges labelled 1.  A part without a
+        form is not memoized here (:attr:`CoverSearch.cache` holds it), and
+        an unknown never is, so a later member of its orbit asks again.
         """
-        key = self.orbit_key(part)
+        key = self.colours.form(dict.fromkeys(part, 1))
         ans = self.orbit_memo.get(key)
         if ans is None:
             ans = _ANSWER[self.realizable(part).status]
@@ -454,9 +456,13 @@ def realizable_uncrossed_set(
     vertices inside one component must share one of its faces, and pairs
     across components constrain the outer-face choices and the nesting.
     An outerplanar (V, S) is realizable outright: draw it with every vertex
-    on the outer face and route all other edges out there.
+    on the outer face and route all other edges out there.  Raises
+    PreconditionError for an edge id outside 0..m-1.
     """
-    return RealizabilityContext(g).realizable(edge_ids, want_certificate=want_certificate)
+    ids = list(edge_ids)
+    if not set(ids) <= set(range(g.m)):
+        raise PreconditionError(f"edge ids must lie in 0..{g.m - 1}")
+    return RealizabilityContext(g).realizable(ids, want_certificate=want_certificate)
 
 
 def _iso_groups(n, cross, isolated):
@@ -597,30 +603,21 @@ def _build_certificate(ctx, s, comps, chosen, shown, parents, iso_placement):
         for v, cycle in rotation_from_succ(g, *comps[ci], succ).items():
             rotation[v] = tuple(tr(d) for d in cycle)
 
-    # component order in the sub graph: by smallest vertex, isolated included
-    entries = [(min(vs), ("comp", ci)) for ci, (vs, _) in enumerate(comps)]
-    covered = {v for vs, _ in comps for v in vs}
-    entries += [(v, ("iso", v)) for v in range(g.n) if v not in covered]
-    entries.sort()
-    comp_slot = {tag: slot for slot, (_, tag) in enumerate(entries)}
-
+    # build_embedding's component slots, isolated vertices included
+    slots = components_of(sub)
+    comp_at = {vs[0]: ci for ci, (vs, _) in enumerate(comps)}
+    slot_of = {comp_at[vs[0]]: i for i, (vs, es) in enumerate(slots) if es}
     outer_choice = []
     parent_list = []
-
-    def resolve_parent(p):
-        if p is None:
-            return None
-        ci, fi = p
-        return (comp_slot[("comp", ci)], fi)
-
-    for _, tag in entries:
-        kind, idx = tag
-        if kind == "comp":
-            outer_choice.append(shown[idx])
-            parent_list.append(resolve_parent(parents[idx]))
+    for vs, es in slots:
+        if es:
+            ci = comp_at[vs[0]]
+            outer_choice.append(shown[ci])
+            parent = parents[ci]
         else:
             outer_choice.append(0)
-            parent_list.append(resolve_parent(iso_placement[idx]))
+            parent = iso_placement[vs[0]]
+        parent_list.append(None if parent is None else (slot_of[parent[0]], parent[1]))
     emb = build_embedding(sub, tuple(rotation), tuple(outer_choice), tuple(parent_list))
 
     hosting = []
@@ -667,11 +664,14 @@ class CoverSearch:
     :meth:`cover_with` skips every subtree whose partial partition an
     automorphism of G maps onto one it has exhausted.  Every node at one
     depth has placed the same edges, and ``feasible`` must be invariant
-    under Aut(G), so such a subtree holds no cover either.  A subtree is
-    remembered only when it found nothing and saw no unknown, so the first
-    cover found is the one the full search finds; a skipped subtree counts
-    as one node.  The uncrossed number passes no keyer yet: its benchmark
-    prefix is pinned to the node count of the full search.
+    under Aut(G), so such a subtree holds no cover either.  Only partitions
+    of two or more parts are keyed: the placed edges have one partition
+    into fewer, so no other node at that depth can match it.  A subtree is
+    remembered only when it found nothing and :attr:`unknowns` did not
+    grow inside it, so the first cover found is the one the full search
+    finds; a skipped subtree counts as one node.  The uncrossed number
+    passes no keyer yet: its benchmark prefix is pinned to the node count
+    of the full search.
     """
 
     def __init__(
@@ -684,7 +684,7 @@ class CoverSearch:
         self.ticker = Ticker(budget)
         self.edge_order = dense_first_order(g)
         self.cache: dict[frozenset[int], bool | None] = {}
-        self.saw_unknown = False
+        self.unknowns = 0  # lookups answered unknown, repeats included
         self.lower_bound = 1
 
     @property
@@ -698,7 +698,7 @@ class CoverSearch:
             ans = self.feasible(part)
             self.cache[part] = ans
         if ans is None:
-            self.saw_unknown = True
+            self.unknowns += 1
         return ans
 
     def cover_with(self, c: int) -> tuple[frozenset[int], ...] | None:
@@ -717,14 +717,13 @@ class CoverSearch:
                 if all(self.feasible_cached(p) is True for p in final):
                     return tuple(final)
                 return None
-            key = None if keyer is None else keyer(parts)
+            key = None if keyer is None or len(parts) < 2 else keyer(parts)
             if key is not None and key in exhausted:
                 return None
-            unknown_before, self.saw_unknown = self.saw_unknown, False
+            unknowns = self.unknowns
             got = branch(depth)
-            if got is None and key is not None and not self.saw_unknown:
+            if got is None and key is not None and self.unknowns == unknowns:
                 exhausted.add(key)
-            self.saw_unknown |= unknown_before
             return got
 
         def branch(depth: int):
@@ -759,7 +758,7 @@ class CoverSearch:
                     if self.lower_bound == c:
                         return CoverResult("exact", c, c, c, got)
                     return CoverResult("unknown", None, self.lower_bound, c, got)
-                if not self.saw_unknown:
+                if not self.unknowns:
                     self.lower_bound = c + 1
         except BudgetExhausted:
             pass

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import networkx as nx
+
 from .core import (
     NO_BUDGET,
     CollectionWitness,
@@ -489,34 +491,18 @@ def tile_crossing_number(t: Tile, budget: SearchBudget = NO_BUDGET):
 
 def edge_disjoint_path_count(g: WeightedMultigraph, s: int, t: int) -> int:
     """Maximum number of edge-disjoint s-t paths (weights count as
-    parallel copies), by augmenting-path max flow."""
-    cap: dict[tuple[int, int], int] = {}
-    adj: dict[int, set[int]] = {}
+    parallel copies): the s-t max flow with each vertex pair's capacity
+    its summed weight."""
+    if s == t or not (0 <= s < g.n and 0 <= t < g.n):
+        raise PreconditionError(f"need two distinct vertices below {g.n}, got {s} and {t}")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
     for u, v, w in g.edges:
-        cap[(u, v)] = cap.get((u, v), 0) + w
-        cap[(v, u)] = cap.get((v, u), 0) + w
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    flow = 0
-    while True:
-        prev = {s: s}
-        queue = [s]
-        while queue and t not in prev:
-            x = queue.pop(0)
-            for y in sorted(adj.get(x, ())):
-                if y not in prev and cap.get((x, y), 0) > 0:
-                    prev[y] = x
-                    queue.append(y)
-        if t not in prev:
-            return flow
-        path = [t]
-        while path[-1] != s:
-            path.append(prev[path[-1]])
-        path.reverse()
-        for x, y in zip(path, path[1:]):
-            cap[(x, y)] -= 1
-            cap[(y, x)] += 1
-        flow += 1
+        if h.has_edge(u, v):
+            h[u][v]["capacity"] += w
+        else:
+            h.add_edge(u, v, capacity=w)
+    return nx.maximum_flow_value(h, s, t)
 
 
 @dataclass(frozen=True)

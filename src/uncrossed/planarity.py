@@ -373,65 +373,33 @@ def build_embedding(
         outer_choice = tuple(0 for _ in comps)
     if parents is None:
         parents = tuple(None for _ in comps)
-    for i, p in enumerate(parents):
+    for p in parents:
         if p is not None and p[1] == outer_choice[p[0]]:
             raise PreconditionError("cannot nest a component in an outer face")
 
-    # region per (component, non-outer local face) plus one root region
-    children: dict[tuple[int, int] | None, list[int]] = {None: []}
-    for i in range(len(comps)):
-        children.setdefault(parents[i], []).append(i)
-
-    raw_faces: list[tuple[tuple[tuple[int, ...], ...], frozenset[int], bool, list]] = []
-    region_index: dict[tuple[int, int] | None, int] = {}
-
-    def region_content(key):
-        walks: list[tuple[int, ...]] = []
-        verts: set[int] = set()
-        constituents = []
-        if key is not None:
-            ci, fi = key
-            w, vset = local[ci][fi]
-            if w:
-                walks.append(w)
-            verts |= vset
-            constituents.append((ci, fi))
-        for child in children.get(key, []):
-            w, vset = local[child][outer_choice[child]]
-            if w:
-                walks.append(w)
-            verts |= vset
-            constituents.append((child, outer_choice[child]))
-        return tuple(sorted(walks)), frozenset(verts), constituents
-
-    keys: list[tuple[int, int] | None] = [None]
-    for i in range(len(comps)):
-        for fi in range(len(local[i])):
-            if fi != outer_choice[i]:
-                keys.append((i, fi))
+    # the unbounded region, then one per (component, non-outer local face):
+    # its own walk plus the outer walks of the components drawn inside it
+    keys = [None] + [
+        (i, fi) for i in range(len(comps)) for fi in range(len(local[i])) if fi != outer_choice[i]
+    ]
+    regions = {}
     for key in keys:
-        region_index[key] = len(raw_faces)
-        walks, verts, constituents = region_content(key)
-        raw_faces.append((walks, verts, key is None, constituents))
+        pieces = [local[i][outer_choice[i]] for i, p in enumerate(parents) if p == key]
+        if key is not None:
+            pieces.append(local[key[0]][key[1]])
+        walks = tuple(sorted(w for w, _ in pieces if w))
+        regions[key] = (walks, frozenset().union(*(vs for _, vs in pieces)))
 
     # canonical face ids: sort by walk structure, vertices as tiebreak
-    order = sorted(range(len(raw_faces)), key=lambda i: (raw_faces[i][0], sorted(raw_faces[i][1])))
-    new_id = {old: new for new, old in enumerate(order)}
-    face_objs = tuple(
-        Face(id=new_id[i], walks=raw_faces[i][0], vertices=raw_faces[i][1])
-        for i in sorted(range(len(raw_faces)), key=lambda i: new_id[i])
-    )
-    outer_id = new_id[region_index[None]]
-    nesting = []
-    for i in range(len(comps)):
-        nesting.append(new_id[region_index[parents[i]]])
+    order = sorted(keys, key=lambda k: (regions[k][0], sorted(regions[k][1])))
+    new_id = {key: i for i, key in enumerate(order)}
     return Embedding(
         graph=g,
         rotation=tuple(rotation),
-        faces=face_objs,
-        outer_face=outer_id,
+        faces=tuple(Face(i, *regions[key]) for i, key in enumerate(order)),
+        outer_face=new_id[None],
         components=tuple(vs for vs, _ in comps),
-        nesting=tuple(nesting),
+        nesting=tuple(new_id[p] for p in parents),
     )
 
 

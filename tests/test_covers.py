@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uncrossed.bounds import outerthickness, thickness
-from uncrossed.core import WeightedMultigraph, graph_from_edges
+from uncrossed.core import PreconditionError, WeightedMultigraph, graph_from_edges
 from uncrossed.covers import (
     MAX_LABELLINGS,
     CoverSearch,
@@ -59,6 +60,25 @@ def test_empty_set_realizable(k5):
     res = realizable_uncrossed_set(k5, [])
     assert res.status == "yes"
     assert certificate_is_valid(k5, res.certificate)
+
+
+@pytest.mark.parametrize("ids", [[-1], [10], [0, 10]])
+def test_out_of_range_edge_ids_are_rejected(k5, ids):
+    with pytest.raises(PreconditionError):
+        realizable_uncrossed_set(k5, ids)
+
+
+def test_forged_certificates_are_rejected(k5):
+    empty = realizable_uncrossed_set(k5, []).certificate
+    # edge 9 is hosted, so an edge id that aliases it must not pass as kept
+    assert not certificate_is_valid(k5, dataclasses.replace(empty, edge_subset=(-1,)))
+    assert not certificate_is_valid(k5, dataclasses.replace(empty, edge_subset=(10,)))
+    # the embedding must be of the kept edges
+    assert not certificate_is_valid(k5, dataclasses.replace(empty, edge_subset=(9,)))
+    one = realizable_uncrossed_set(k5, [0, 1]).certificate
+    assert certificate_is_valid(k5, one)
+    for forged in [(1, 0), (0, 0, 1), (0, 2)]:
+        assert not certificate_is_valid(k5, dataclasses.replace(one, edge_subset=forged))
 
 
 def test_shown_face_other_than_first():
@@ -286,10 +306,10 @@ def test_orbit_key_is_exact_on_small_graphs():
             parts = [frozenset(s) for r in range(g.m + 1) for s in itertools.combinations(range(g.m), r)]
         else:
             parts = [frozenset(rng.sample(range(g.m), rng.randint(0, g.m))) for _ in range(150)]
-        ctx = RealizabilityContext(g)
-        keys = [ctx.orbit_key(p) for p in parts]
+        colours = PairColours(g)
+        keys = [colours.form(dict.fromkeys(p, 1)) for p in parts]
         forms = [_brute_form(g, dict.fromkeys(p, 1)) for p in parts]
-        assert all(key[0] for key in keys), name  # no part hit the labelling bound
+        assert None not in keys, name  # no part hit the labelling bound
         assert len(set(keys)) == len(set(forms)) == len(set(zip(keys, forms))), name
 
 
@@ -322,11 +342,27 @@ def test_partition_key_is_exact_on_small_graphs():
 
 
 def test_partition_key_skips_what_cannot_recur():
-    colours = PairColours(complete(5))
-    assert colours.partition_key([]) is None
-    assert colours.partition_key([{0, 1, 2}]) is None
     asymmetric = WeightedMultigraph(3, ((0, 1, 1), (1, 2, 2), (0, 2, 3)))
     assert PairColours(asymmetric).partition_key([{0}, {1}]) is None
+    # edges 0 and 1 share vertex 0, leaving a cell of 9 vertices: 9! labellings
+    assert PairColours(complete(12)).partition_key([{0}, {1}]) is None
+
+
+@pytest.mark.parametrize("name", sorted(_SYMMETRIC))
+def test_cover_search_keys_only_two_or_more_parts(name):
+    # fewer parts have one partition of the placed edges, so no other node
+    # at the same depth can share their key
+    g = _SYMMETRIC[name]
+    colours = PairColours(g)
+    sizes = []
+
+    def spy(parts):
+        sizes.append(len(parts))
+        return colours.partition_key(parts)
+
+    keyed = CoverSearch(g, _outerplanar(g), keyer=spy).minimum()
+    assert keyed == CoverSearch(g, _outerplanar(g)).minimum()
+    assert sizes and min(sizes) == 2
 
 
 def _outerplanar(g):
@@ -383,7 +419,7 @@ def test_feasible_matches_fresh_realizable(name, data):
 def test_trivial_automorphism_group_builds_no_key():
     g = WeightedMultigraph(3, ((0, 1, 1), (1, 2, 2), (0, 2, 3)))
     ctx = RealizabilityContext(g)
-    assert ctx.orbit_key(frozenset({0})) is None
+    assert ctx.colours.form({0: 1}) is None
     assert ctx.feasible(frozenset({0, 1})) is True
     assert ctx.orbit_memo == {}
 
@@ -393,8 +429,9 @@ def test_labelling_bound_keys_by_the_part():
     ctx = RealizabilityContext(g)
     part = frozenset({0})
     start = time.perf_counter()
-    key = ctx.orbit_key(part)
+    key = ctx.colours.form(dict.fromkeys(part, 1))
     assert time.perf_counter() - start < 0.05
     assert 2 * 3628800 > MAX_LABELLINGS  # cells of 2 and 10 vertices
-    assert key == (False, part)
+    assert key is None
     assert ctx.feasible(part) is True
+    assert ctx.orbit_memo == {}  # CoverSearch.cache holds parts without a form

@@ -260,6 +260,15 @@ def test_edge_disjoint_paths():
     assert edge_disjoint_path_count(doubled_path_tile().graph, 0, 2) == 3
 
 
+def test_edge_disjoint_path_count_direct():
+    assert edge_disjoint_path_count(complete(4), 0, 3) == 3
+    assert edge_disjoint_path_count(WeightedMultigraph(2, ((0, 1, 3),)), 0, 1) == 3
+    assert edge_disjoint_path_count(WeightedMultigraph(4, ((0, 1, 2), (2, 3, 1))), 0, 3) == 0
+    for s, t in [(0, 0), (0, 4), (-1, 2)]:
+        with pytest.raises(PreconditionError):
+            edge_disjoint_path_count(complete(4), s, t)
+
+
 def test_gadget_structure():
     g, info = doubled_tile_gadget(chain_tile(), 1)
     assert info.cost_target == 2

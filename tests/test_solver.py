@@ -3,6 +3,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uncrossed.bounds import outerthickness, thickness
 from uncrossed.core import (
@@ -322,6 +324,23 @@ def test_oracle_equivalence_six_vertex_nonplanar():
             ), (g.edges, c, k)
 
 
+@settings(max_examples=12)
+@given(st.data())
+def test_decide_matches_reference_oracle_on_weighted_multigraphs(data):
+    # K5 or K3,3 with weights 1-2, at most one extra parallel edge, and the
+    # edges shuffled so the solver sees varied edge ids
+    base = data.draw(st.sampled_from([complete(5), complete_bipartite(3, 3)]))
+    pairs = [(u, v) for u, v, _ in base.edges]
+    pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=1))
+    pairs = data.draw(st.permutations(pairs))
+    weights = data.draw(st.lists(st.integers(1, 2), min_size=len(pairs), max_size=len(pairs)))
+    g = WeightedMultigraph(base.n, tuple((u, v, w) for (u, v), w in zip(pairs, weights)))
+    for c, k in ((2, 1), (2, 2), (2, 3), (3, 3)):
+        verdict = decide_uncrossed_cost(g, c, k).verdict
+        assert verdict in ("yes", "no")
+        assert reference_oracle(g, c, k) == (verdict == "yes"), (g.edges, c, k)
+
+
 # -- verify ------------------------------------------------------------------
 
 
@@ -496,6 +515,20 @@ def test_unc_budget_unknown(k6):
     res = uncrossed_number(k6, SearchBudget(max_nodes=3))
     assert res.status == "unknown"
     assert res.value is None
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda g, budget: uncrossed_crossing_number(g, budget).status,
+        lambda g, budget: decide_uncrossed_cost(g, 3, 8, budget).verdict,
+    ],
+    ids=["ucr", "decide"],
+)
+def test_ucr_wall_clock_budget_stops_promptly(k6, solve):
+    start = time.perf_counter()
+    assert solve(k6, SearchBudget(wall_clock_seconds=0.05)) == "unknown"
+    assert time.perf_counter() - start < 0.5
 
 
 def test_unc_wall_clock_budget_stops_promptly(k7):
