@@ -78,6 +78,11 @@ class Ticker:
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise BudgetExhausted
+        self.check_clock()
+
+    def check_clock(self) -> None:
+        """Raise :class:`BudgetExhausted` once the wall clock has run out,
+        without counting a node; for long loops inside one node."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExhausted
 

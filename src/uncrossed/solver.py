@@ -150,6 +150,8 @@ class _DrawingSearch:
         for combo in itertools.product(
             *(itertools.permutations(per_edge[eid]) for eid in multi)
         ):
+            # trying the orders of one event set can outlast the whole budget
+            self.ticker.check_clock()
             orders = dict(per_edge)
             for eid, perm in zip(multi, combo):
                 orders[eid] = list(perm)
