@@ -34,12 +34,13 @@ from uncrossed.planarity import enumerate_embeddings
 from uncrossed.render import render_drawing_svg
 from uncrossed.solver import (
     collection_from_certificates,
+    crossing_number,
     decide_uncrossed_cost,
     uncrossed_crossing_number,
     uncrossed_number,
 )
 
-from conftest import atlas_graphs
+from conftest import atlas_graphs, brute_planar
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = GOLDEN / "MANIFEST.sha256"
@@ -152,6 +153,27 @@ def k7_relabelled():
     return [relabelled(complete(7), seed) for seed in (1, 2, 3)]
 
 
+def sweep_graphs():
+    """The eleven nonplanar atlas graphs with at most six vertices and twelve
+    edges."""
+    return [g for g in atlas_graphs(6, 12) if not brute_planar(g)]
+
+
+def cr_witness_text(graphs) -> str:
+    return "".join(repr(crossing_number(g).witness) + "\n" for g in graphs)
+
+
+def decide_text(c: int, k: int) -> str:
+    """Per sweep graph: the verdict and, for yes, the witness file text."""
+    out = []
+    for g in sweep_graphs():
+        d = decide_uncrossed_cost(g, c, k)
+        out.append(f"{d.verdict}\n")
+        if d.witness is not None:
+            out.append(serialize_witness(witness_to_document(d.witness, graph=g)))
+    return "".join(out)
+
+
 #: bulk outputs kept as digests only
 BULK = {
     **{f"rotating_path_collection/n={n:02d}": (lambda n=n: _witness_text(n)) for n in range(5, 17)},
@@ -162,6 +184,11 @@ BULK = {
     "outerthickness/atlas": lambda: covers_text(outerthickness, atlas_with_edges()),
     "thickness/K7 relabelled": lambda: covers_text(thickness, k7_relabelled()),
     "outerthickness/K7 relabelled": lambda: covers_text(outerthickness, k7_relabelled()),
+    "crossing_number/sweep": lambda: cr_witness_text(sweep_graphs()),
+    "crossing_number/K6 relabelled": lambda: cr_witness_text(
+        [relabelled(complete(6), seed) for seed in (1, 2, 3)]
+    ),
+    **{f"decide/sweep c={c} k={k}": (lambda c=c, k=k: decide_text(c, k)) for c, k in ((2, 2), (2, 3), (3, 3))},
     "enumerate_embeddings/K4": lambda: embeddings_text(complete(4)),
     "enumerate_embeddings/2K3+K1": lambda: embeddings_text(
         graph_from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
