@@ -5,7 +5,9 @@ Commands: ``gen`` (instance generators), ``solve`` (exact solvers),
 and ``render`` (SVG output).  Results print as stable ``key=value`` lines.
 
 Exit codes: 0 success / yes / accept, 1 no / reject, 2 unknown (budget
-exhausted), 3 usage or parse errors.  The environment variable
+exhausted), 3 usage or parse errors.  A command whose standard output is
+closed early (``| head -1``) ends quietly with exit 1, as the Python
+documentation advises for a broken pipe.  The environment variable
 ``UNCROSSED_BUDGET`` supplies a default wall-clock budget in seconds.
 """
 
@@ -268,24 +270,32 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "gen": _cmd_gen,
+    "solve": _cmd_solve,
+    "verify": _cmd_verify,
+    "bounds": _cmd_bounds,
+    "render": _cmd_render,
+}
+
+
 def main(argv=None) -> int:
     global _TABLE
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         _TABLE = args.table
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        return _cmd_render(args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a reader that went away shows up here, not at exit
+        return code
     except (UsageError, ParseError, PreconditionError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader of standard output closed it (``| head -1``): send the
+        # rest to devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_NO
 
 
 if __name__ == "__main__":

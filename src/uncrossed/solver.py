@@ -126,6 +126,8 @@ class _DrawingSearch:
             (e, f): g.weight(e) * g.weight(f) for e, f in self.pairs
         }
         self.planarizable_cache: dict[frozenset, dict | None] = {}
+        self.essential: frozenset[int] | None = None  # edges e with G - e nonplanar
+        self.planar_without: dict[frozenset, bool] = {}  # removed edges -> G - R planar
         self.drawings_cache: dict[tuple, list] = {}
         self.cover_memo: dict[tuple, tuple | None] = {}
 
@@ -141,6 +143,9 @@ class _DrawingSearch:
         hit = self.planarizable_cache.get(events, "miss")
         if hit != "miss":
             return hit
+        if not self._deletions_planar(events):
+            self.planarizable_cache[events] = None
+            return None
         per_edge: dict[int, list[tuple[int, int]]] = {}
         for e, f in sorted(events):
             per_edge.setdefault(e, []).append((e, f))
@@ -160,6 +165,39 @@ class _DrawingSearch:
                 break
         self.planarizable_cache[events] = answer
         return answer
+
+    def _deletions_planar(self, events: frozenset) -> bool:
+        """Necessary test for :meth:`planarizable`: G - R is planar for
+        every R holding one edge of each pair in ``events``.
+
+        Deleting R from a plane planarization leaves a plane subdivision of
+        G - R, since every crossing loses an edge.  Deleting edges keeps
+        planarity, so a choice holding an edge e with G - e planar passes:
+        only essential edges (G - e nonplanar) are worth choosing, and a
+        pair without one makes every choice pass.
+        """
+        if self.essential is None:
+            self.essential = frozenset(
+                e for e in range(self.g.m) if not self._planar_without(frozenset((e,)))
+            )
+        options = []
+        for pair in events:
+            kept = [e for e in pair if e in self.essential]
+            if not kept:
+                return True
+            options.append(kept)
+        for choice in itertools.product(*options):
+            self.ticker.check_clock()
+            if not self._planar_without(frozenset(choice)):
+                return False
+        return True
+
+    def _planar_without(self, removed: frozenset) -> bool:
+        hit = self.planar_without.get(removed)
+        if hit is None:
+            rest = [e for e in range(self.g.m) if e not in removed]
+            hit = self.planar_without[removed] = skeleton_planar(self.g.skeleton(rest))
+        return hit
 
     def _plan_skeleton(self, orders: dict) -> frozenset:
         g = self.g

@@ -5,7 +5,7 @@ by name, so a refactor that renames one breaks only traced benchmark runs.
 Its self-test traces sub-second K5 cases and fails on such a break.  The
 benchmark's own checks pin answers a search change can break, such as the
 node count of the unc(K7) prefix; they run here on the sub-second
-workloads.
+workloads and on the sub-second cases of ``ucr_sweep``.
 """
 
 import subprocess
@@ -28,7 +28,16 @@ def test_perfbench_selftest_passes():
     assert out.stdout.startswith("ok")
 
 
-@pytest.mark.parametrize("workload", ["unc_k7_prefix", "outer_k7"])
+#: the sub-second ucr_sweep cases; the six-vertex decision sweep is left to
+#: the oracle tests of test_solver.py
+UCR_SWEEP_CASES = ("cr(K6)", "ucr(heavy cycle m=4)", "ucr(two-light K5 m=2)", "decide(5,18; c=2, k=3)")
+
+
+@pytest.mark.parametrize("workload", ["unc_k7_prefix", "outer_k7", "ucr_sweep"])
 def test_benchmark_cases_pass_their_checks(workload):
-    for case in workloads.build(workload, 1):
+    cases = workloads.build(workload, 1)
+    if workload == "ucr_sweep":
+        cases = [case for case in cases if case.name in UCR_SWEEP_CASES]
+        assert sorted(case.name for case in cases) == sorted(UCR_SWEEP_CASES)
+    for case in cases:
         assert case.check(case.solve()) is None, case.name

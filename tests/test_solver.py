@@ -2,12 +2,14 @@ import itertools
 import random
 import time
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uncrossed.bounds import outerthickness, thickness
 from uncrossed.core import (
+    NO_BUDGET,
     CollectionWitness,
     DrawingWitness,
     PreconditionError,
@@ -15,6 +17,7 @@ from uncrossed.core import (
     expand_weights,
     graph_from_edges,
     make_drawing,
+    planarize,
 )
 from uncrossed.covers import certificate_is_valid
 from uncrossed.instances import (
@@ -27,6 +30,7 @@ from uncrossed.instances import (
 )
 from uncrossed.solver import (
     SearchBudget,
+    _DrawingSearch,
     crossing_number,
     decide_uncrossed_cost,
     reference_oracle,
@@ -339,6 +343,69 @@ def test_decide_matches_reference_oracle_on_weighted_multigraphs(data):
         verdict = decide_uncrossed_cost(g, c, k).verdict
         assert verdict in ("yes", "no")
         assert reference_oracle(g, c, k) == (verdict == "yes"), (g.edges, c, k)
+
+
+def slow_planarizable(g, events):
+    """First order assignment, in lexicographic order, whose planarization
+    networkx finds planar, or None: every permutation of the events of each
+    edge crossed more than once, edges by id and events sorted."""
+    per_edge = {}
+    for e, f in sorted(events):
+        per_edge.setdefault(e, []).append((e, f))
+        per_edge.setdefault(f, []).append((e, f))
+    multi = sorted(eid for eid, evs in per_edge.items() if len(evs) > 1)
+    for combo in itertools.product(*(itertools.permutations(per_edge[eid]) for eid in multi)):
+        orders = {eid: tuple(evs) for eid, evs in per_edge.items()}
+        orders.update(zip(multi, combo))
+        p = planarize(g, make_drawing(g, events, orders))
+        h = nx.Graph()
+        h.add_nodes_from(range(p.n))
+        h.add_edges_from(p.endpoints(e) for e in range(p.m))
+        if nx.check_planarity(h)[0]:
+            return orders
+    return None
+
+
+@st.composite
+def drawing_search_graphs(draw):
+    """K6; K3,3 plus up to two chords of its parts; or K5 with one parallel
+    edge and weights 1-2; edge ids shuffled."""
+    kind = draw(st.sampled_from(["K6", "K3,3", "K5"]))
+    base = {"K6": complete(6), "K3,3": complete_bipartite(3, 3), "K5": complete(5)}[kind]
+    edges = list(base.edges)
+    if kind == "K3,3":
+        chords = [(a, b, 1) for side in ((0, 1, 2), (3, 4, 5)) for a, b in itertools.combinations(side, 2)]
+        edges += draw(st.lists(st.sampled_from(chords), max_size=2, unique=True))
+    if kind == "K5":
+        edges.append(draw(st.sampled_from(edges)))
+        edges = [(u, v, draw(st.integers(1, 2))) for u, v, _ in edges]
+    return WeightedMultigraph(base.n, tuple(draw(st.permutations(edges))))
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_planarizable_matches_brute_force_orders(data):
+    # the deletion test may only reject sets that no order planarizes, and
+    # a set it passes must get the same first orders as plain enumeration
+    g = data.draw(drawing_search_graphs())
+    search = _DrawingSearch(g, NO_BUDGET)
+    for _ in range(4):
+        events = frozenset(data.draw(st.sets(st.sampled_from(search.pairs), max_size=4)))
+        want = slow_planarizable(g, events)
+        if not search._deletions_planar(events):
+            assert want is None, (g.edges, sorted(events))
+        assert search.planarizable(events) == want, (g.edges, sorted(events))
+
+
+def test_deletion_test_rejects_two_pairs_of_k6():
+    # deleting one edge of each of two pairs leaves K6 at least thirteen
+    # edges, more than the twelve of a planar graph on six vertices
+    g = complete(6)
+    search = _DrawingSearch(g, NO_BUDGET)
+    events = frozenset(search.pairs[:2])
+    assert not search._deletions_planar(events)
+    assert search.essential == frozenset(range(g.m))
+    assert search.planarizable(events) is None is slow_planarizable(g, events)
 
 
 # -- verify ------------------------------------------------------------------
