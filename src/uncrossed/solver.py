@@ -298,7 +298,9 @@ class _DrawingSearch:
         """Min-cost plan covering ``uncovered`` with <= c_left drawings.
 
         Returns (cost, plans) with plans a tuple of (events, orders), or
-        None when impossible within k_left.
+        None when impossible within k_left.  Among plans of least cost the
+        one with the least :func:`_plans_key` wins, so the answer is the
+        same for every k_left at or above that cost.
         """
         if not uncovered:
             return 0, ()
@@ -313,19 +315,22 @@ class _DrawingSearch:
         if need > c_left:
             self.cover_memo[key] = None
             return None
-        if c_left == 1:
-            got = self.min_drawing(uncovered, k_left)
-            result = None if got is None else (got[0], ((got[1], got[2]),))
-            self.cover_memo[key] = result
-            return result
-        e_star = min(uncovered)
-        best = None
-        for cost_d, events, orders, touched in self.drawings_avoiding(
-            frozenset({e_star}), k_left
-        ):
+        best = None  # (total, _plans_key, plans) of the least plan so far
+        got = self.min_drawing(uncovered, k_left)  # the least one-drawing plan
+        if got is not None:
+            plans = ((got[1], got[2]),)
+            best = (got[0], _plans_key(plans), plans)
+        # a first drawing crossing an uncovered edge needs a further one,
+        # and every drawing of the nonplanar G costs at least ``floor``
+        floor = max(1, _euler_count_lb(g))
+        avoid = frozenset({min(uncovered)})
+        firsts = self.drawings_avoiding(avoid, k_left - floor) if c_left > 1 else []
+        for cost_d, events, orders, touched in firsts:
             if best is not None and cost_d > best[0]:
                 break  # sorted by cost: nothing cheaper is left
             rest = uncovered & touched
+            if not rest:
+                continue  # a one-drawing plan, and min_drawing found the least
             sub = self.cover(rest, c_left - 1, k_left - cost_d)
             if sub is None:
                 continue
@@ -394,16 +399,24 @@ def decide_uncrossed_cost(
 
     Yes-answers carry a verified witness, canonical across runs: the
     lexicographically least event structure among all optimal collections.
+    It probes the cost limits 0, 1, ..., max_cost and stops at the first
+    that succeeds, the optimum, whose witness a probe at max_cost shares.
     """
     if max_drawings < 1 or max_cost < 0:
         raise PreconditionError("need max_drawings >= 1 and max_cost >= 0")
     if graph_planar(g):
         return Decision("yes", _trivial_planar_witness(g))
-    return _decide(_DrawingSearch(g, budget), max_drawings, max_cost)
+    search = _DrawingSearch(g, budget)
+    for cost in range(max_cost + 1):
+        dec = _probe(search, max_drawings, cost)
+        if dec.verdict != "no":
+            return dec
+    return Decision("no")
 
 
-def _decide(search: _DrawingSearch, max_drawings: int, max_cost: int) -> Decision:
-    """:func:`decide_uncrossed_cost` for a nonplanar graph, on ``search``.
+def _probe(search: _DrawingSearch, max_drawings: int, max_cost: int) -> Decision:
+    """One cost level of :func:`decide_uncrossed_cost` for a nonplanar
+    graph, on ``search``: the least plan within max_cost, verified.
 
     Every call ticks the search's budget, so a loop of probes stops too.
     """
@@ -432,7 +445,8 @@ def uncrossed_crossing_number(
 
     Uses the equivalence "cost k achievable iff achievable with <= k
     drawings" for the outer iterative deepening, then shrinks the number of
-    drawings at fixed optimal cost.
+    drawings at fixed optimal cost.  Both loops step through the levels
+    themselves, so each step is one probe at exactly (c, k).
     """
     if graph_planar(g):
         return UcrResult("exact", 0, 1, 0, 0, _trivial_planar_witness(g))
@@ -444,7 +458,7 @@ def uncrossed_crossing_number(
         if budget.max_crossings is not None and k > budget.max_crossings:
             return UcrResult("unknown", None, None, lb, None, None)
         c_level = k if budget.max_drawings is None else min(k, budget.max_drawings)
-        dec = _decide(search, c_level, k)
+        dec = _probe(search, c_level, k)
         if dec.verdict == "unknown":
             return UcrResult("unknown", None, None, lb, None, None)
         if dec.verdict == "yes":
@@ -455,7 +469,7 @@ def uncrossed_crossing_number(
             witness = dec.witness
             c_try = len(witness.drawings)
             while c_try > 1:
-                lower = _decide(search, c_try - 1, ucr)
+                lower = _probe(search, c_try - 1, ucr)
                 if lower.verdict == "unknown":
                     # optimal cost is proven but not the least drawing count
                     return UcrResult("unknown", ucr, None, ucr, ucr, witness)

@@ -31,6 +31,7 @@ from uncrossed.instances import (
 from uncrossed.solver import (
     SearchBudget,
     _DrawingSearch,
+    _probe,
     crossing_number,
     decide_uncrossed_cost,
     reference_oracle,
@@ -98,6 +99,7 @@ def test_decide_k5_table(k5):
     assert decide_uncrossed_cost(k5, 1, 50).verdict == "no"
     assert decide_uncrossed_cost(k5, 2, 2).verdict == "yes"
     assert decide_uncrossed_cost(k5, 2, 1).verdict == "no"
+    assert decide_uncrossed_cost(k5, 2, 0).verdict == "no"  # the deepening's first level
 
 
 def test_decide_monotone_in_c_and_k(k5, k33):
@@ -127,6 +129,47 @@ def test_decide_heavy_cycle(k5):
     assert decide_uncrossed_cost(g, 2, 3).verdict == "no"
     assert decide_uncrossed_cost(g, 3, 3).verdict == "yes"
     assert decide_uncrossed_cost(g, 3, 2).verdict == "no"
+
+
+def test_cost_deepening_stops_at_the_optimum():
+    # a yes at declared cost d is a no at d - 1, and every limit at or
+    # above d gives the witness of d, which is also the one a single
+    # probe at the full limit finds
+    from uncrossed.planarity import graph_planar
+
+    graphs = [g for g in atlas_graphs(6) if g.m <= 12 and not graph_planar(g)]
+    assert len(graphs) == 11
+    for g in [*graphs, complete(5), complete_bipartite(3, 3)]:
+        for c, k in ((2, 2), (2, 3), (3, 3), (3, 4), (2, 5), (4, 6)):
+            dec = decide_uncrossed_cost(g, c, k)
+            if k <= 4:  # a single probe lists every drawing up to k
+                assert _probe(_DrawingSearch(g, NO_BUDGET), c, k) == dec, (g.edges, c, k)
+            if dec.verdict == "no":
+                continue
+            d = dec.witness.declared_cost
+            if d >= 1:
+                assert decide_uncrossed_cost(g, c, d - 1).verdict == "no", (g.edges, c, k)
+            assert decide_uncrossed_cost(g, c, d).witness == dec.witness, (g.edges, c, k)
+
+
+def test_k6_and_k34_are_exact_within_two_gib():
+    # both values equal ounc * cr(G) = 2 * cr(G), a lower bound that does
+    # not depend on the solver, and the witnesses verify; the child's
+    # address space is capped so a regression fails instead of swapping
+    code = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from uncrossed.instances import complete, complete_bipartite
+from uncrossed.solver import decide_uncrossed_cost, uncrossed_crossing_number, verify_collection
+for g in (complete(6), complete_bipartite(3, 4)):
+    res = uncrossed_crossing_number(g)
+    print(res.status, res.ucr, res.ounc, len(res.witness.drawings), verify_collection(g, res.witness).accepted)
+dec = decide_uncrossed_cost(complete(6), 3, 8)
+print(dec.verdict, dec.witness.declared_cost, verify_collection(complete(6), dec.witness).accepted)
+"""
+    out = run_python(code, timeout=120)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.splitlines() == ["exact 6 2 2 True", "exact 4 2 2 True", "yes 6 True"]
 
 
 def test_decide_preconditions(k5):
@@ -584,17 +627,25 @@ def test_unc_budget_unknown(k6):
     assert res.value is None
 
 
+def _ucr_status(g, budget):
+    return uncrossed_crossing_number(g, budget).status
+
+
 @pytest.mark.parametrize(
-    "solve",
+    "g, solve",
     [
-        lambda g, budget: uncrossed_crossing_number(g, budget).status,
-        lambda g, budget: decide_uncrossed_cost(g, 3, 8, budget).verdict,
+        (complete(6), _ucr_status),
+        (complete(6), lambda g, budget: decide_uncrossed_cost(g, 3, 8, budget).verdict),
+        # the K6 cases finish in a fraction of a second even without a
+        # budget; these two run for well over ten seconds
+        (complete_bipartite(3, 5), _ucr_status),
+        (complete(7), lambda g, budget: decide_uncrossed_cost(g, 3, 27, budget).verdict),
     ],
-    ids=["ucr", "decide"],
+    ids=["ucr", "decide", "ucr-k35", "decide-k7"],
 )
-def test_ucr_wall_clock_budget_stops_promptly(k6, solve):
+def test_ucr_wall_clock_budget_stops_promptly(g, solve):
     start = time.perf_counter()
-    assert solve(k6, SearchBudget(wall_clock_seconds=0.05)) == "unknown"
+    assert solve(g, SearchBudget(wall_clock_seconds=0.05)) == "unknown"
     assert time.perf_counter() - start < 0.5
 
 
