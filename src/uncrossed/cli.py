@@ -5,10 +5,11 @@ Commands: ``gen`` (instance generators), ``solve`` (exact solvers),
 and ``render`` (SVG output).  Results print as stable ``key=value`` lines.
 
 Exit codes: 0 success / yes / accept, 1 no / reject, 2 unknown (budget
-exhausted), 3 usage or parse errors.  A command whose standard output is
-closed early (``| head -1``) ends quietly with exit 1, as the Python
-documentation advises for a broken pipe.  The environment variable
-``UNCROSSED_BUDGET`` supplies a default wall-clock budget in seconds.
+exhausted), 3 usage or parse errors and unusable file paths.  A command
+whose standard output is closed early (``| head -1``) ends quietly with
+exit 1, as the Python documentation advises for a broken pipe.  The
+environment variable ``UNCROSSED_BUDGET`` supplies a default wall-clock
+budget in seconds.
 """
 
 from __future__ import annotations
@@ -288,14 +289,15 @@ def main(argv=None) -> int:
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a reader that went away shows up here, not at exit
         return code
-    except (UsageError, ParseError, PreconditionError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so it must come first
         # the reader of standard output closed it (``| head -1``): send the
         # rest to devnull so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_NO
+    except (UsageError, ParseError, PreconditionError, OSError, UnicodeDecodeError) as exc:
+        # OSError: a path that is missing, a directory, or an existing file
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

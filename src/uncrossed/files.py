@@ -83,7 +83,7 @@ def serialize_graph(g: WeightedMultigraph) -> str:
 
 
 def load_graph(path) -> WeightedMultigraph:
-    return parse_graph_text(Path(path).read_text())
+    return parse_graph_text(Path(path).read_text(encoding="utf-8"))
 
 
 def save_graph(path, g: WeightedMultigraph) -> None:
@@ -124,6 +124,8 @@ def witness_from_document(doc: dict, base_dir=None):
     missing fields, wrongly typed values or an inconsistent structure
     raises :class:`ParseError`.
     """
+    if not isinstance(doc, dict):
+        raise ParseError("witness document must be a JSON object")
     if "declared_cost" not in doc:
         raise ParseError("witness document needs 'declared_cost'")
     try:
@@ -171,7 +173,7 @@ def save_witness(path, doc: dict) -> None:
 
 def load_witness(path):
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     return witness_from_document(doc, base_dir=Path(path).parent)

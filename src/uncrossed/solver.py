@@ -220,11 +220,15 @@ class _DrawingSearch:
     # -- drawing enumeration ----------------------------------------------
 
     def drawings_avoiding(self, avoid: frozenset, limit: int) -> list:
-        """All planarizable event sets of cost <= limit not touching avoid.
+        """Planarizable event sets of cost <= limit not touching avoid, as
+        (cost, events, orders, touched edges) sorted by (cost, events).
 
-        Each entry is (cost, events frozenset, orders, touched frozenset),
-        sorted by (cost, events) for determinism.
+        A planarizable set is not extended: a superset costs more (weights
+        are >= 1) and crosses more edges, so no least plan holds one.
+        Every inclusion-minimal planarizable set is listed.
         """
+        if limit < _euler_count_lb(self.g):
+            return []
         key = (avoid, limit)
         hit = self.drawings_cache.get(key)
         if hit is not None:
@@ -238,12 +242,12 @@ class _DrawingSearch:
 
         def extend(idx: int, chosen: tuple, cost: int):
             self.ticker.tick()
-            if chosen:
-                events = frozenset(chosen)
-                orders = self.planarizable(events)
-                if orders is not None:
-                    touched = frozenset(e for p in chosen for e in p)
-                    found.append((cost, events, orders, touched))
+            events = frozenset(chosen)
+            orders = self.planarizable(events)
+            if orders is not None:
+                touched = frozenset(e for p in chosen for e in p)
+                found.append((cost, events, orders, touched))
+                return
             for j in range(idx, len(allowed)):
                 c2 = cost + self.pair_cost[allowed[j]]
                 if c2 <= limit:
@@ -260,37 +264,8 @@ class _DrawingSearch:
         Returns (cost, events, orders) with the lexicographically least
         event list among ties, or None if nothing fits the limit.
         """
-        base_lb = _euler_count_lb(self.g)
-        if limit < base_lb:
-            return None
-        allowed = [
-            p
-            for p in self.pairs
-            if p[0] not in forced and p[1] not in forced and self.pair_cost[p] <= limit
-        ]
-        best: list = [None]
-
-        def extend(idx: int, chosen: tuple, cost: int):
-            self.ticker.tick()
-            orders = self.planarizable(frozenset(chosen))
-            if orders is not None:
-                cand = (cost, tuple(sorted(chosen)), frozenset(chosen), orders)
-                if best[0] is None or cand[:2] < best[0][:2]:
-                    best[0] = cand
-                return
-            for j in range(idx, len(allowed)):
-                c2 = cost + self.pair_cost[allowed[j]]
-                if c2 > limit:
-                    continue
-                if best[0] is not None and c2 > best[0][0]:
-                    continue
-                extend(j + 1, chosen + (allowed[j],), c2)
-
-        extend(0, (), 0)
-        if best[0] is None:
-            return None
-        cost, _, events, orders = best[0]
-        return cost, events, orders
+        found = self.drawings_avoiding(forced, limit)
+        return found[0][:3] if found else None
 
     # -- covering recursion ----------------------------------------------
 

@@ -26,13 +26,14 @@ settings.load_profile("derandomized")
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_python(code: str, timeout: float) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports the package from
-    ``src``; a hang or a crash there fails only the calling test."""
+def run_python(code: str, timeout: float, cwd=ROOT) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter, working in ``cwd``, that imports
+    the package from ``src``; a hang or a crash there fails only the
+    calling test."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True,
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True,
         timeout=timeout,
     )
 

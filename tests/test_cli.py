@@ -190,6 +190,37 @@ def test_negative_budget_limits_exit_3(tmp_path, capsys, extra):
     assert _solve_k5_exit(tmp_path, capsys, *extra) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--input", "k5.txt", "--witness", "five.json"],
+        ["verify", "--input", "k5.txt", "--witness", "null.json"],
+        ["solve", "--mode", "cr", "--input", "latin1.txt"],
+        ["verify", "--input", "k5.txt", "--witness", "latin1.txt"],
+        ["solve", "--mode", "cr", "--input", "dir"],
+        ["verify", "--input", "k5.txt", "--witness", "dir"],
+        ["gen", "complete", "5", "--out", "dir"],
+        ["solve", "--mode", "ucrk", "--c", "2", "--k", "2", "--input", "k5.txt", "--witness", "dir"],
+        ["render", "--witness", "w.json", "--out", "k5.txt"],
+    ],
+    ids=[
+        "witness-number", "witness-null", "input-not-utf8", "witness-not-utf8", "input-dir",
+        "verify-witness-dir", "gen-out-dir", "solve-witness-dir", "render-out-file",
+    ],
+)
+def test_unusable_path_exits_3(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "gen", "complete", "5", "--out", "k5.txt")
+    run(capsys, "solve", "--mode", "ucrk", "--c", "2", "--k", "2", "--input", "k5.txt", "--witness", "w.json")
+    (tmp_path / "five.json").write_text("5")
+    (tmp_path / "null.json").write_text("null")
+    (tmp_path / "latin1.txt").write_bytes("5 0\n# K\xf6nig\n".encode("latin-1"))
+    (tmp_path / "dir").mkdir()
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 def test_unc_witness_pipeline(tmp_path, capsys):
     k5 = str(tmp_path / "k5.txt")
     run(capsys, "gen", "complete", "5", "--out", k5)

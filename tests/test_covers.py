@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 import time
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -103,6 +104,30 @@ def test_agrees_with_embedding_enumeration_oracle(k7):
         fast = realizable_uncrossed_set(k7, s, want_certificate=False).status == "yes"
         assert fast == hosting_oracle(k7, s), sorted(s)
         checked += 1
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_agrees_with_embedding_enumeration_oracle_on_weighted_multigraphs(data):
+    # parallel copies, weights and edge ids must not change realizability;
+    # a vertex of degree above 6 is skipped, as the oracle's rotation
+    # enumeration refuses it
+    base = data.draw(st.sampled_from([complete(5), complete(6), complete_bipartite(3, 4), complete(7)]))
+    pairs = [(u, v) for u, v, _ in base.edges]
+    pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=2))
+    pairs = data.draw(st.permutations(pairs))
+    weights = data.draw(st.lists(st.integers(1, 3), min_size=len(pairs), max_size=len(pairs)))
+    g = WeightedMultigraph(base.n, tuple((u, v, w) for (u, v), w in zip(pairs, weights)))
+    s = frozenset(data.draw(st.sets(st.integers(0, g.m - 1), min_size=4, max_size=10)))
+    degrees = Counter(v for e in s for v in g.endpoints(e))
+    if max(degrees.values()) > 6:
+        return
+    want = hosting_oracle(g, s)
+    res = realizable_uncrossed_set(g, s)
+    assert res.status == ("yes" if want else "no"), (g.edges, sorted(s))
+    assert realizable_uncrossed_set(g, s, want_certificate=False).status == res.status
+    if want:
+        assert certificate_is_valid(g, res.certificate)
 
 
 def test_certificates_on_random_yes_instances(k7):

@@ -440,6 +440,54 @@ def test_planarizable_matches_brute_force_orders(data):
         assert search.planarizable(events) == want, (g.edges, sorted(events))
 
 
+def check_drawings_avoiding(g, avoid, limit):
+    """Brute force over every event set within the limit, with a second
+    search's planarizable as the oracle (checked against networkx above)."""
+    search, oracle = _DrawingSearch(g, NO_BUDGET), _DrawingSearch(g, NO_BUDGET)
+    allowed = [
+        p for p in oracle.pairs
+        if not avoid & set(p) and oracle.pair_cost[p] <= limit
+    ]
+    planarizable = {}  # events -> (cost, orders)
+    for size in range(limit + 1):  # every pair costs at least 1
+        for chosen in itertools.combinations(allowed, size):
+            cost = sum(oracle.pair_cost[p] for p in chosen)
+            orders = oracle.planarizable(frozenset(chosen)) if cost <= limit else None
+            if orders is not None:
+                planarizable[frozenset(chosen)] = (cost, orders)
+
+    found = search.drawings_avoiding(avoid, limit)
+    keys = [(cost, sorted(events)) for cost, events, _, _ in found]
+    assert keys == sorted(keys), g.edges
+    for cost, events, orders, touched in found:
+        assert planarizable[events] == (cost, orders), (g.edges, sorted(events))
+        assert touched == frozenset(e for p in events for e in p)
+    listed = {events for _, events, _, _ in found}
+    for events in planarizable:
+        subsets = (frozenset(s) for r in range(len(events)) for s in itertools.combinations(events, r))
+        if not any(s in planarizable for s in subsets):
+            assert events in listed, (g.edges, sorted(events), sorted(avoid), limit)
+
+    least = min(planarizable, key=lambda ev: (planarizable[ev][0], sorted(ev)), default=None)
+    want = None if least is None else (planarizable[least][0], least, planarizable[least][1])
+    assert search.min_drawing(avoid, limit) == want, (g.edges, sorted(avoid), limit)
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_drawings_avoiding_lists_every_minimal_planarizable_set(data):
+    g = data.draw(drawing_search_graphs())
+    avoid = frozenset(data.draw(st.sets(st.integers(0, g.m - 1), max_size=3)))
+    limit = data.draw(st.integers(0, 3 if g.m == 15 else 4))  # K6 has 15 edges
+    check_drawings_avoiding(g, avoid, limit)
+
+
+@pytest.mark.parametrize("avoid", [frozenset(), frozenset({0})])
+def test_drawings_avoiding_k6_at_its_crossing_number(avoid):
+    # cr(K6) = 3, so every listed set of K6 sits at the limit itself
+    check_drawings_avoiding(complete(6), avoid, 3)
+
+
 def test_deletion_test_rejects_two_pairs_of_k6():
     # deleting one edge of each of two pairs leaves K6 at least thirteen
     # edges, more than the twelve of a planar graph on six vertices
