@@ -145,87 +145,73 @@ def _budget_from(args) -> SearchBudget:
     return SearchBudget(wall_clock_seconds=seconds, max_nodes=args.max_nodes)
 
 
-def _save_witness_if_asked(args, g, witness, mode_info) -> None:
-    if args.witness and witness is not None:
-        doc = witness_to_document(witness, graph=g, mode=mode_info)
-        save_witness(args.witness, doc)
-        _emit("witness", args.witness)
-
-
-def _emit_bounds(res) -> None:
-    _emit("lower_bound", res.lower_bound)
+def _bounds_lines(res) -> list:
+    lines = [("lower_bound", res.lower_bound)]
     if res.upper_bound is not None:
-        _emit("upper_bound", res.upper_bound)
+        lines.append(("upper_bound", res.upper_bound))
+    return lines
 
 
 def _cmd_solve(args) -> int:
     g = load_graph(args.input)
-    budget = _budget_from(args)
+    code, lines, witness, mode_info = _solve(args, g, _budget_from(args))
+    if args.witness and witness is not None:
+        # saved before any line prints, so an unusable path leaves stdout empty
+        save_witness(args.witness, witness_to_document(witness, graph=g, mode=mode_info))
+        lines.append(("witness", args.witness))
+    for key, value in lines:
+        _emit(key, value)
+    return code
+
+
+def _solve(args, g, budget):
+    """Exit code, result lines, witness (or None) and witness mode of one
+    ``solve``."""
     mode = args.mode
-    _emit("mode", mode)
+    lines = [("mode", mode)]
     if mode == "cr":
         res = crossing_number(g, budget)
-        _emit("status", res.status)
+        lines.append(("status", res.status))
         if res.status == "exact":
-            _emit("cr", res.value)
-            if res.witness is not None:
-                _save_witness_if_asked(
-                    args,
-                    g,
-                    # a single drawing still travels as a collection document
-                    _single_drawing_collection(g, res.witness),
-                    {"mode": "cr"},
-                )
-            return EXIT_OK
-        _emit_bounds(res)
-        return EXIT_UNKNOWN
+            lines.append(("cr", res.value))
+            # a single drawing still travels as a collection document
+            return EXIT_OK, lines, _single_drawing_collection(g, res.witness), {"mode": "cr"}
+        return EXIT_UNKNOWN, lines + _bounds_lines(res), None, None
     if mode == "ucrk":
         if args.c is None or args.k is None:
             raise UsageError("--mode ucrk needs --c and --k")
         dec = decide_uncrossed_cost(g, args.c, args.k, budget)
-        _emit("c", args.c)
-        _emit("k", args.k)
-        _emit("verdict", dec.verdict)
+        lines += [("c", args.c), ("k", args.k), ("verdict", dec.verdict)]
         if dec.verdict == "yes":
-            _emit("cost", dec.witness.declared_cost)
-            _save_witness_if_asked(
-                args, g, dec.witness, {"mode": "ucrk", "c": args.c, "k": args.k}
-            )
-            return EXIT_OK
-        return EXIT_NO if dec.verdict == "no" else EXIT_UNKNOWN
+            lines.append(("cost", dec.witness.declared_cost))
+            return EXIT_OK, lines, dec.witness, {"mode": "ucrk", "c": args.c, "k": args.k}
+        return (EXIT_NO if dec.verdict == "no" else EXIT_UNKNOWN), lines, None, None
     if mode == "ucr":
         res = uncrossed_crossing_number(g, budget)
-        _emit("status", res.status)
+        lines.append(("status", res.status))
         if res.status == "exact":
-            _emit("ucr", res.ucr)
-            _emit("ounc", res.ounc)
-            _save_witness_if_asked(args, g, res.witness, {"mode": "ucr"})
-            return EXIT_OK
-        _emit_bounds(res)
-        return EXIT_UNKNOWN
+            lines += [("ucr", res.ucr), ("ounc", res.ounc)]
+            return EXIT_OK, lines, res.witness, {"mode": "ucr"}
+        return EXIT_UNKNOWN, lines + _bounds_lines(res), None, None
     if mode == "unc":
         res = uncrossed_number(g, budget)
-        _emit("status", res.status)
+        lines.append(("status", res.status))
         if res.status == "exact":
-            _emit("unc", res.value)
-            _emit("cover_sizes", ",".join(
-                str(len(c.edge_subset)) for c in res.certificates
-            ))
-            if args.witness:
-                collection = collection_from_certificates(g, res.certificates)
-                _save_witness_if_asked(args, g, collection, {"mode": "unc"})
-            return EXIT_OK
-        _emit_bounds(res)
-        return EXIT_UNKNOWN
+            sizes = ",".join(str(len(c.edge_subset)) for c in res.certificates)
+            lines += [("unc", res.value), ("cover_sizes", sizes)]
+            collection = (
+                collection_from_certificates(g, res.certificates) if args.witness else None
+            )
+            return EXIT_OK, lines, collection, {"mode": "unc"}
+        return EXIT_UNKNOWN, lines + _bounds_lines(res), None, None
     # thickness / outerthickness
     fn = bounds_mod.thickness if mode == "thickness" else bounds_mod.outerthickness
     res = fn(g, budget)
-    _emit("status", res.status)
+    lines.append(("status", res.status))
     if res.status == "exact":
-        _emit(mode, res.value)
-        return EXIT_OK
-    _emit_bounds(res)
-    return EXIT_UNKNOWN
+        lines.append((mode, res.value))
+        return EXIT_OK, lines, None, None
+    return EXIT_UNKNOWN, lines + _bounds_lines(res), None, None
 
 
 def _single_drawing_collection(g, drawing):

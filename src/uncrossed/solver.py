@@ -219,53 +219,59 @@ class _DrawingSearch:
 
     # -- drawing enumeration ----------------------------------------------
 
-    def drawings_avoiding(self, avoid: frozenset, limit: int) -> list:
+    def _event_sets(self, avoid: frozenset, limit: int):
         """Planarizable event sets of cost <= limit not touching avoid, as
-        (cost, events, orders, touched edges) sorted by (cost, events).
+        (cost, events, orders, touched edges), lazily in (cost, sorted
+        events) order.
 
+        Layer c holds the sets of cost exactly c, walked depth first in
+        lexicographic order; no set below the Euler bound is planarizable.
         A planarizable set is not extended: a superset costs more (weights
-        are >= 1) and crosses more edges, so no least plan holds one.
-        Every inclusion-minimal planarizable set is listed.
+        are >= 1) and crosses more edges, so no least plan holds one.  Such
+        a prefix costs less than its layer, so its answer is already
+        cached.  Every inclusion-minimal planarizable set is yielded.
         """
-        if limit < _euler_count_lb(self.g):
-            return []
-        key = (avoid, limit)
-        hit = self.drawings_cache.get(key)
-        if hit is not None:
-            return hit
+        lb = _euler_count_lb(self.g)
         allowed = [
             p
             for p in self.pairs
             if p[0] not in avoid and p[1] not in avoid and self.pair_cost[p] <= limit
         ]
-        found = []
 
-        def extend(idx: int, chosen: tuple, cost: int):
+        def walk(idx: int, chosen: tuple, cost: int, layer: int):
             self.ticker.tick()
-            events = frozenset(chosen)
-            orders = self.planarizable(events)
-            if orders is not None:
-                touched = frozenset(e for p in chosen for e in p)
-                found.append((cost, events, orders, touched))
-                return
+            if cost >= lb:
+                events = frozenset(chosen)
+                orders = self.planarizable(events)
+                if orders is not None and cost == layer:
+                    yield cost, events, orders, frozenset(e for p in chosen for e in p)
+                if orders is not None or cost == layer:
+                    return
             for j in range(idx, len(allowed)):
                 c2 = cost + self.pair_cost[allowed[j]]
-                if c2 <= limit:
-                    extend(j + 1, chosen + (allowed[j],), c2)
+                if c2 <= layer:
+                    yield from walk(j + 1, chosen + (allowed[j],), c2, layer)
 
-        extend(0, (), 0)
-        found.sort(key=lambda t: (t[0], sorted(t[1])))
-        self.drawings_cache[key] = found
-        return found
+        for layer in range(lb, limit + 1):
+            yield from walk(0, (), 0, layer)
+
+    def drawings_avoiding(self, avoid: frozenset, limit: int) -> list:
+        """Every set of :meth:`_event_sets`, as a list."""
+        key = (avoid, limit)
+        hit = self.drawings_cache.get(key)
+        if hit is None:
+            hit = self.drawings_cache[key] = list(self._event_sets(avoid, limit))
+        return hit
 
     def min_drawing(self, forced: frozenset, limit: int):
         """Cheapest planarizable event set avoiding ``forced`` entirely.
 
         Returns (cost, events, orders) with the lexicographically least
-        event list among ties, or None if nothing fits the limit.
+        event list among ties, or None if nothing fits the limit.  The walk
+        stops at that set: every layer below its cost is exhausted first.
         """
-        found = self.drawings_avoiding(forced, limit)
-        return found[0][:3] if found else None
+        got = next(self._event_sets(forced, limit), None)
+        return None if got is None else got[:3]
 
     # -- covering recursion ----------------------------------------------
 

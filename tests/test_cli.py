@@ -217,8 +217,19 @@ def test_unusable_path_exits_3(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "latin1.txt").write_bytes("5 0\n# K\xf6nig\n".encode("latin-1"))
     (tmp_path / "dir").mkdir()
     assert main(argv) == 3
-    err = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    assert captured.out == ""  # solve saves its witness before any result line
+
+
+def test_solve_witness_line_comes_last(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "gen", "complete", "5", "--out", "k5.txt")
+    assert main(["solve", "--mode", "ucrk", "--c", "2", "--k", "2", "--input", "k5.txt", "--witness", "w.json"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "mode=ucrk", "c=2", "k=2", "verdict=yes", "cost=2", "witness=w.json"
+    ]
 
 
 def test_unc_witness_pipeline(tmp_path, capsys):
@@ -246,8 +257,8 @@ def test_table_flag(tmp_path, capsys):
         # 200 kB of graph text: the pipe fills, so a write after the close
         # is certain to fail
         (["gen", "complete", "200"], "", b"200 19900\n", (1,)),
-        # each line is written at once and cr(K6) runs after the first, so
-        # the rest almost always meets the closed pipe
+        # each line is written at once, so a line after the first may meet
+        # the closed pipe
         (["solve", "--mode", "cr", "--input", "k6.txt"], "1", b"mode=cr\n", (0, 1)),
     ],
     ids=["gen", "solve"],

@@ -188,6 +188,8 @@ BULK = {
     "crossing_number/K6 relabelled": lambda: cr_witness_text(
         [relabelled(complete(6), seed) for seed in (1, 2, 3)]
     ),
+    "crossing_number/K3,5": lambda: cr_witness_text([complete_bipartite(3, 5)]),
+    "crossing_number/K4,4": lambda: cr_witness_text([complete_bipartite(4, 4)]),
     **{f"decide/sweep c={c} k={k}": (lambda c=c, k=k: decide_text(c, k)) for c, k in ((2, 2), (2, 3), (3, 3))},
     "enumerate_embeddings/K4": lambda: embeddings_text(complete(4)),
     "enumerate_embeddings/2K3+K1": lambda: embeddings_text(

@@ -172,6 +172,31 @@ print(dec.verdict, dec.witness.declared_cost, verify_collection(complete(6), dec
     assert out.stdout.splitlines() == ["exact 6 2 2 True", "exact 4 2 2 True", "yes 6 True"]
 
 
+def test_k35_and_k44_crossing_numbers_are_exact_within_two_gib():
+    # cr(K3,5) = cr(K4,4) = 4 by Zarankiewicz's formula, which is proven at
+    # these sizes; the planarizations are checked by networkx, and the
+    # child's address space is capped so a regression fails instead of
+    # swapping
+    code = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import networkx as nx
+from uncrossed.core import planarize
+from uncrossed.instances import complete_bipartite
+from uncrossed.solver import crossing_number
+for g in (complete_bipartite(3, 5), complete_bipartite(4, 4)):
+    res = crossing_number(g)
+    p = planarize(g, res.witness)
+    h = nx.Graph()
+    h.add_nodes_from(range(p.n))
+    h.add_edges_from(p.endpoints(e) for e in range(p.m))
+    print(res.status, res.value, res.witness.cost(g), nx.check_planarity(h)[0])
+"""
+    out = run_python(code, timeout=120)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.splitlines() == ["exact 4 4 True", "exact 4 4 True"]
+
+
 def test_decide_preconditions(k5):
     with pytest.raises(PreconditionError):
         decide_uncrossed_cost(k5, 0, 1)
@@ -470,7 +495,15 @@ def check_drawings_avoiding(g, avoid, limit):
 
     least = min(planarizable, key=lambda ev: (planarizable[ev][0], sorted(ev)), default=None)
     want = None if least is None else (planarizable[least][0], least, planarizable[least][1])
-    assert search.min_drawing(avoid, limit) == want, (g.edges, sorted(avoid), limit)
+    fresh = _DrawingSearch(g, NO_BUDGET)  # apart from the list cache
+    assert fresh.min_drawing(avoid, limit) == want, (g.edges, sorted(avoid), limit)
+    if want is not None:
+        # the walk stops at its answer: it tested no set that comes after it
+        def rank(events):
+            return sum(fresh.pair_cost[p] for p in events), sorted(events)
+
+        late = [sorted(ev) for ev in fresh.planarizable_cache if rank(ev) > rank(least)]
+        assert not late, (g.edges, sorted(avoid), limit, late[:3])
 
 
 @settings(max_examples=30)
@@ -679,6 +712,12 @@ def _ucr_status(g, budget):
     return uncrossed_crossing_number(g, budget).status
 
 
+def _cr_status(g, budget):
+    # an unknown still carries the Euler count, 6 for K7, as its bound
+    res = crossing_number(g, budget)
+    return res.status if res.lower_bound >= 6 else f"lower bound {res.lower_bound}"
+
+
 @pytest.mark.parametrize(
     "g, solve",
     [
@@ -688,8 +727,10 @@ def _ucr_status(g, budget):
         # budget; these two run for well over ten seconds
         (complete_bipartite(3, 5), _ucr_status),
         (complete(7), lambda g, budget: decide_uncrossed_cost(g, 3, 27, budget).verdict),
+        # the lazy walk of cr's first level, C(105, 6) sets, reads it too
+        (complete(7), _cr_status),
     ],
-    ids=["ucr", "decide", "ucr-k35", "decide-k7"],
+    ids=["ucr", "decide", "ucr-k35", "decide-k7", "cr-k7"],
 )
 def test_ucr_wall_clock_budget_stops_promptly(g, solve):
     start = time.perf_counter()
