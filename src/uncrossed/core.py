@@ -41,16 +41,10 @@ class BudgetExhausted(Exception):
 class SearchBudget:
     """Resource limits for a solve; ``None`` means unlimited."""
 
-    max_crossings: int | None = None
-    max_drawings: int | None = None
     wall_clock_seconds: float | None = None
     max_nodes: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_crossings is not None and self.max_crossings < 0:
-            raise PreconditionError("max_crossings must be >= 0")
-        if self.max_drawings is not None and self.max_drawings < 1:
-            raise PreconditionError("max_drawings must be >= 1")
         if self.max_nodes is not None and self.max_nodes < 0:
             raise PreconditionError("max_nodes must be >= 0")
         if self.wall_clock_seconds is not None and not self.wall_clock_seconds >= 0:

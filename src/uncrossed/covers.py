@@ -282,11 +282,13 @@ class RealizabilityContext:
     covering searches that revisit the same component pay for its rotation
     enumeration once.  Yes/no answers of :meth:`feasible` are memoized by
     the part's :meth:`PairColours.form`, so parts that an automorphism of G
-    maps onto each other share one query.
+    maps onto each other share one query.  Every rotation tried reads the
+    clock of :attr:`ticker`, which a caller may share with its search.
     """
 
     def __init__(self, g: WeightedMultigraph):
         self.g = g
+        self.ticker = Ticker(NO_BUDGET)
         self.rotations_spent = 0
         self.profile_cache: dict[frozenset[int], list | None] = {}
         self.g_pairs = g.skeleton()
@@ -375,6 +377,7 @@ class RealizabilityContext:
                 budget = ROTATION_BUDGET - self.rotations_spent
                 candidates = planar_rotations_of_component(g, vertices, edges, half=True)
         for succ in candidates:
+            self.ticker.check_clock()
             count += 1
             if budget is not None and count > budget:
                 exceeded = True
@@ -680,7 +683,6 @@ class CoverSearch:
         self.g = g
         self.feasible = feasible
         self.keyer = keyer
-        self.max_parts = budget.max_drawings
         self.ticker = Ticker(budget)
         self.edge_order = dense_first_order(g)
         self.cache: dict[frozenset[int], bool | None] = {}
@@ -747,12 +749,9 @@ class CoverSearch:
 
     def minimum(self) -> CoverResult:
         """Least part count, or "unknown" with the proven lower bound once
-        the budget's drawing cap, node limit or wall clock runs out."""
-        top = max(1, self.g.m)
-        if self.max_parts is not None:
-            top = min(top, self.max_parts)
+        the budget's node limit or wall clock runs out."""
         try:
-            for c in range(1, top + 1):
+            for c in range(1, max(1, self.g.m) + 1):
                 got = self.cover_with(c)
                 if got is not None:
                     if self.lower_bound == c:

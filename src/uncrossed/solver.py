@@ -33,6 +33,7 @@ from .core import (
 from .covers import (
     CoverSearch,
     RealizabilityContext,
+    RealizabilityResult,
     UncrossedSetCertificate,
     realizable_uncrossed_set,
 )
@@ -116,6 +117,7 @@ class _DrawingSearch:
     def __init__(self, g: WeightedMultigraph, budget: SearchBudget):
         self.g = g
         self.ticker = Ticker(budget)
+        self.euler = _euler_count_lb(g)  # no cheaper event set is planarizable
         self.pairs = [
             (e, f)
             for e in range(g.m)
@@ -219,26 +221,25 @@ class _DrawingSearch:
 
     # -- drawing enumeration ----------------------------------------------
 
-    def _event_sets(self, avoid: frozenset, limit: int):
-        """Planarizable event sets of cost <= limit not touching avoid, as
-        (cost, events, orders, touched edges), lazily in (cost, sorted
-        events) order.
+    def _layer(self, avoid: frozenset, layer: int):
+        """Planarizable event sets of cost exactly ``layer`` not touching
+        avoid, as (cost, events, orders, touched edges), lazily, depth first
+        in lexicographic order.
 
-        Layer c holds the sets of cost exactly c, walked depth first in
-        lexicographic order; no set below the Euler bound is planarizable.
         A planarizable set is not extended: a superset costs more (weights
         are >= 1) and crosses more edges, so no least plan holds one.  Such
-        a prefix costs less than its layer, so its answer is already
-        cached.  Every inclusion-minimal planarizable set is yielded.
+        a prefix costs less than the layer, so once the layers below are
+        walked its answer is cached.  Every inclusion-minimal planarizable
+        set of this cost is yielded.
         """
-        lb = _euler_count_lb(self.g)
+        lb = self.euler
         allowed = [
             p
             for p in self.pairs
-            if p[0] not in avoid and p[1] not in avoid and self.pair_cost[p] <= limit
+            if p[0] not in avoid and p[1] not in avoid and self.pair_cost[p] <= layer
         ]
 
-        def walk(idx: int, chosen: tuple, cost: int, layer: int):
+        def walk(idx: int, chosen: tuple, cost: int):
             self.ticker.tick()
             if cost >= lb:
                 events = frozenset(chosen)
@@ -250,10 +251,16 @@ class _DrawingSearch:
             for j in range(idx, len(allowed)):
                 c2 = cost + self.pair_cost[allowed[j]]
                 if c2 <= layer:
-                    yield from walk(j + 1, chosen + (allowed[j],), c2, layer)
+                    yield from walk(j + 1, chosen + (allowed[j],), c2)
 
-        for layer in range(lb, limit + 1):
-            yield from walk(0, (), 0, layer)
+        return walk(0, (), 0)
+
+    def _event_sets(self, avoid: frozenset, limit: int):
+        """The layers of :meth:`_layer` from the Euler bound up to limit:
+        every planarizable set of cost <= limit, in (cost, sorted events)
+        order."""
+        for layer in range(self.euler, limit + 1):
+            yield from self._layer(avoid, layer)
 
     def drawings_avoiding(self, avoid: frozenset, limit: int) -> list:
         """Every set of :meth:`_event_sets`, as a list."""
@@ -303,7 +310,7 @@ class _DrawingSearch:
             best = (got[0], _plans_key(plans), plans)
         # a first drawing crossing an uncovered edge needs a further one,
         # and every drawing of the nonplanar G costs at least ``floor``
-        floor = max(1, _euler_count_lb(g))
+        floor = max(1, self.euler)
         avoid = frozenset({min(uncovered)})
         firsts = self.drawings_avoiding(avoid, k_left - floor) if c_left > 1 else []
         for cost_d, events, orders, touched in firsts:
@@ -347,22 +354,21 @@ def crossing_number(
 ) -> CrossingNumberResult:
     """Exact weighted crossing number with a drawing witness.
 
-    Iterative deepening on the cost limit; every level below the answer is
-    exhausted, so a budget interruption still yields a proven lower bound.
+    Walks the cost layers one at a time and stops at the first set of the
+    first layer that has one; every layer below the answer is exhausted,
+    so a budget interruption still yields a proven lower bound.
     """
     if graph_planar(g):
         return CrossingNumberResult("exact", 0, 0, 0, make_drawing(g, []))
     search = _DrawingSearch(g, budget)
-    k = max(1, _euler_count_lb(g))
+    k = max(1, search.euler)
     while True:
-        if budget.max_crossings is not None and k > budget.max_crossings:
-            return CrossingNumberResult("unknown", None, k, None, None)
         try:
-            got = search.min_drawing(frozenset(), k)
+            got = next(search._layer(frozenset(), k), None)
         except BudgetExhausted:
             return CrossingNumberResult("unknown", None, k, None, None)
         if got is not None:
-            cost, events, orders = got
+            cost, events, orders, _ = got
             return CrossingNumberResult(
                 "exact", cost, cost, cost, make_drawing(g, events, orders)
             )
@@ -425,43 +431,31 @@ def uncrossed_crossing_number(
     of drawings attaining it.
 
     Uses the equivalence "cost k achievable iff achievable with <= k
-    drawings" for the outer iterative deepening, then shrinks the number of
-    drawings at fixed optimal cost.  Both loops step through the levels
-    themselves, so each step is one probe at exactly (c, k).
+    drawings": "ucr <= k?" is ``decide_uncrossed_cost(g, k, k)``.  The
+    outer loop probes (k, k) for k = 2 * euler, 2 * euler + 1, ... until the
+    answer is not "no", then the inner loop shrinks the number of drawings
+    at the optimal cost.  Each step is one probe at exactly (c, k).
     """
     if graph_planar(g):
         return UcrResult("exact", 0, 1, 0, 0, _trivial_planar_witness(g))
     search = _DrawingSearch(g, budget)  # one budget and cache for every probe
-    # least cost no uncapped probe has ruled out: two drawings, each crossing
-    lb = max(1, 2 * _euler_count_lb(g))
-    k = lb
-    while True:
-        if budget.max_crossings is not None and k > budget.max_crossings:
-            return UcrResult("unknown", None, None, lb, None, None)
-        c_level = k if budget.max_drawings is None else min(k, budget.max_drawings)
-        dec = _probe(search, c_level, k)
-        if dec.verdict == "unknown":
-            return UcrResult("unknown", None, None, lb, None, None)
-        if dec.verdict == "yes":
-            if c_level < k:
-                # drawing cap may have hidden a cheaper collection
-                return UcrResult("unknown", None, None, lb, k, dec.witness)
-            ucr = k
-            witness = dec.witness
-            c_try = len(witness.drawings)
-            while c_try > 1:
-                lower = _probe(search, c_try - 1, ucr)
-                if lower.verdict == "unknown":
-                    # optimal cost is proven but not the least drawing count
-                    return UcrResult("unknown", ucr, None, ucr, ucr, witness)
-                if lower.verdict == "no":
-                    break
-                witness = lower.witness
-                c_try -= 1
-            return UcrResult("exact", ucr, c_try, ucr, ucr, witness)
-        if c_level == k:
-            lb = k + 1  # a capped "no" rules out only collections within the cap
+    k = max(1, 2 * search.euler)  # two drawings, each crossing
+    while (dec := _probe(search, k, k)).verdict == "no":
         k += 1
+    if dec.verdict == "unknown":
+        return UcrResult("unknown", None, None, k, None, None)
+    witness = dec.witness
+    c_try = len(witness.drawings)
+    while c_try > 1:
+        lower = _probe(search, c_try - 1, k)
+        if lower.verdict == "unknown":
+            # optimal cost is proven but not the least drawing count
+            return UcrResult("unknown", k, None, k, k, witness)
+        if lower.verdict == "no":
+            break
+        witness = lower.witness
+        c_try -= 1
+    return UcrResult("exact", k, c_try, k, k, witness)
 
 
 def uncrossed_number(g: WeightedMultigraph, budget: SearchBudget = NO_BUDGET) -> UncResult:
@@ -472,20 +466,25 @@ def uncrossed_number(g: WeightedMultigraph, budget: SearchBudget = NO_BUDGET) ->
     a part as soon as no superset of it can be realizable.  When the
     budget runs out, the lower bound is the least drawing count that no
     exhausted level has ruled out.  A cover whose certificates exceed the
-    rotation budget is "unknown", with the cover's size as upper bound.
+    rotation budget or the wall clock is "unknown", with the cover's size
+    as upper bound.
     """
     ctx = RealizabilityContext(g)
     cover = CoverSearch(g, ctx.feasible, budget)
+    ctx.ticker = cover.ticker  # the certificates below read the same clock
     out = cover.minimum()
     status, value, certificates = out.status, out.value, None
     if out.parts is not None:
-        certs = [ctx.realizable(part, want_certificate=True) for part in out.parts]
+        try:
+            certs = [ctx.realizable(part, want_certificate=True) for part in out.parts]
+        except BudgetExhausted:
+            certs = [RealizabilityResult("unknown")]
         if any(res.status == "no" for res in certs):
             raise AssertionError("cover part lost realizability on recheck")
         if all(res.status == "yes" for res in certs):
             certificates = tuple(res.certificate for res in certs)
         else:
-            # the cover is proven, but a certificate ran out of rotation budget
+            # the cover is proven, but a certificate ran out of rotations or clock
             status, value = "unknown", None
     return UncResult(
         status,

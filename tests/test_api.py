@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 
@@ -30,3 +31,9 @@ def test_solver_all_resolves():
 def test_search_budget_is_one_type():
     assert uncrossed.solver.SearchBudget is uncrossed.core.SearchBudget
     assert uncrossed.SearchBudget is uncrossed.core.SearchBudget
+
+
+def test_search_budget_has_only_the_limits_the_cli_sets():
+    # cli._budget_from sets exactly these from --budget/UNCROSSED_BUDGET and --max-nodes
+    names = [f.name for f in dataclasses.fields(uncrossed.core.SearchBudget)]
+    assert names == ["wall_clock_seconds", "max_nodes"]
