@@ -122,7 +122,11 @@ def _cmd_gen(args) -> int:
         else:
             (r,) = params
             g, cert = instances.hex_grid(r)
-            _emit("rings", ",".join(str(len(ring)) for ring in cert.rings))
+            rings = ",".join(str(len(ring)) for ring in cert.rings)
+            if args.out:
+                _emit("rings", rings)
+            else:  # a comment line, so the graph on stdout still parses
+                sys.stdout.write(f"# rings={rings}\n")
     except ValueError:
         raise UsageError(f"wrong number of parameters for {fam}") from None
     if args.out:

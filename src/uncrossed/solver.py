@@ -131,7 +131,7 @@ class _DrawingSearch:
         self.essential: frozenset[int] | None = None  # edges e with G - e nonplanar
         self.planar_without: dict[frozenset, bool] = {}  # removed edges -> G - R planar
         self.drawings_cache: dict[tuple, list] = {}
-        self.cover_memo: dict[tuple, tuple | None] = {}
+        self.layer = self.euler  # the cost layer the latest walk is in
 
     # -- planarizability -------------------------------------------------
 
@@ -221,22 +221,24 @@ class _DrawingSearch:
 
     # -- drawing enumeration ----------------------------------------------
 
-    def _layer(self, avoid: frozenset, layer: int):
-        """Planarizable event sets of cost exactly ``layer`` not touching
-        avoid, as (cost, events, orders, touched edges), lazily, depth first
-        in lexicographic order.
+    def _event_sets(self, avoid: frozenset, limit: int):
+        """Every planarizable event set of cost <= limit not touching
+        avoid, as (cost, events, orders, touched edges), lazily, in (cost,
+        sorted events) order: the cost layers from the Euler bound up, each
+        walked depth first in lexicographic order.
 
         A planarizable set is not extended: a superset costs more (weights
         are >= 1) and crosses more edges, so no least plan holds one.  Such
-        a prefix costs less than the layer, so once the layers below are
-        walked its answer is cached.  Every inclusion-minimal planarizable
-        set of this cost is yielded.
+        a prefix costs less than its layer, so its answer is cached when
+        the lower layers were walked.  Every inclusion-minimal planarizable
+        set is yielded.  ``self.layer`` is the layer being walked: every
+        layer below it is exhausted.
         """
         lb = self.euler
         allowed = [
             p
             for p in self.pairs
-            if p[0] not in avoid and p[1] not in avoid and self.pair_cost[p] <= layer
+            if p[0] not in avoid and p[1] not in avoid and self.pair_cost[p] <= limit
         ]
 
         def walk(idx: int, chosen: tuple, cost: int):
@@ -253,14 +255,9 @@ class _DrawingSearch:
                 if c2 <= layer:
                     yield from walk(j + 1, chosen + (allowed[j],), c2)
 
-        return walk(0, (), 0)
-
-    def _event_sets(self, avoid: frozenset, limit: int):
-        """The layers of :meth:`_layer` from the Euler bound up to limit:
-        every planarizable set of cost <= limit, in (cost, sorted events)
-        order."""
-        for layer in range(self.euler, limit + 1):
-            yield from self._layer(avoid, layer)
+        for layer in range(lb, limit + 1):
+            self.layer = layer
+            yield from walk(0, (), 0)
 
     def drawings_avoiding(self, avoid: frozenset, limit: int) -> list:
         """Every set of :meth:`_event_sets`, as a list."""
@@ -294,15 +291,6 @@ class _DrawingSearch:
             return 0, ()
         if c_left <= 0:
             return None
-        key = (uncovered, c_left, k_left)
-        if key in self.cover_memo:
-            return self.cover_memo[key]
-        g = self.g
-        cap = max(1, 3 * g.n - 6)
-        need = -(-len(g.skeleton(uncovered)) // cap)
-        if need > c_left:
-            self.cover_memo[key] = None
-            return None
         best = None  # (total, _plans_key, plans) of the least plan so far
         got = self.min_drawing(uncovered, k_left)  # the least one-drawing plan
         if got is not None:
@@ -327,9 +315,7 @@ class _DrawingSearch:
             cand = (total, _plans_key(plans), plans)
             if best is None or cand[:2] < best[:2]:
                 best = cand
-        result = None if best is None else (best[0], best[2])
-        self.cover_memo[key] = result
-        return result
+        return None if best is None else (best[0], best[2])
 
 
 def _plans_key(plans) -> tuple:
@@ -354,25 +340,20 @@ def crossing_number(
 ) -> CrossingNumberResult:
     """Exact weighted crossing number with a drawing witness.
 
-    Walks the cost layers one at a time and stops at the first set of the
-    first layer that has one; every layer below the answer is exhausted,
+    One walk of the cost layers, up to a limit no event set exceeds, stops
+    at its first set; every layer below the one being walked is exhausted,
     so a budget interruption still yields a proven lower bound.
     """
     if graph_planar(g):
         return CrossingNumberResult("exact", 0, 0, 0, make_drawing(g, []))
     search = _DrawingSearch(g, budget)
-    k = max(1, search.euler)
-    while True:
-        try:
-            got = next(search._layer(frozenset(), k), None)
-        except BudgetExhausted:
-            return CrossingNumberResult("unknown", None, k, None, None)
-        if got is not None:
-            cost, events, orders, _ = got
-            return CrossingNumberResult(
-                "exact", cost, cost, cost, make_drawing(g, events, orders)
-            )
-        k += 1
+    try:
+        cost, events, orders = search.min_drawing(
+            frozenset(), sum(search.pair_cost.values())
+        )
+    except BudgetExhausted:
+        return CrossingNumberResult("unknown", None, max(1, search.layer), None, None)
+    return CrossingNumberResult("exact", cost, cost, cost, make_drawing(g, events, orders))
 
 
 def decide_uncrossed_cost(
@@ -393,6 +374,8 @@ def decide_uncrossed_cost(
         raise PreconditionError("need max_drawings >= 1 and max_cost >= 0")
     if graph_planar(g):
         return Decision("yes", _trivial_planar_witness(g))
+    if max_drawings == 1:
+        return Decision("no")  # one drawing of a nonplanar graph always crosses
     search = _DrawingSearch(g, budget)
     for cost in range(max_cost + 1):
         dec = _probe(search, max_drawings, cost)
@@ -410,8 +393,6 @@ def _probe(search: _DrawingSearch, max_drawings: int, max_cost: int) -> Decision
     g = search.g
     try:
         search.ticker.tick()
-        if max_drawings == 1:
-            return Decision("no")  # one drawing of a nonplanar graph always crosses
         got = search.cover(frozenset(range(g.m)), max_drawings, max_cost)
     except BudgetExhausted:
         return Decision("unknown")

@@ -6,8 +6,8 @@ import sys
 import pytest
 
 from uncrossed.cli import main
-from uncrossed.files import load_graph, save_graph
-from uncrossed.instances import complete
+from uncrossed.files import load_graph, parse_graph_text, save_graph
+from uncrossed.instances import complete, hex_grid
 
 from conftest import ROOT
 
@@ -147,6 +147,12 @@ def test_gen_families(tmp_path, capsys):
     assert load_graph(tmp_path / "b.txt").m == 9
 
     assert main(["gen", "complete"]) == 3  # missing parameter
+
+
+def test_gen_to_stdout_reads_back_as_a_graph(capsys):
+    # hex-grid's ring sizes go to a comment line, not before the header
+    assert main(["gen", "hex-grid", "2"]) == 0
+    assert parse_graph_text(capsys.readouterr().out) == hex_grid(2)[0]
 
 
 def test_bounds_command(tmp_path, capsys):

@@ -80,8 +80,8 @@ def test_cr_monotone_under_edge_addition():
 
 
 def test_cr_walks_each_cost_layer_once(monkeypatch):
-    # crossing_number steps through the layers itself, so it tests no more
-    # sets than one walk up to its answer, and finds the same witness
+    # crossing_number is one min_drawing walk, so it tests exactly the sets
+    # of that walk up to its answer, and finds the same witness
     g = complete_bipartite(3, 5)
     calls = []
     planarizable = _DrawingSearch.planarizable
@@ -96,7 +96,7 @@ def test_cr_walks_each_cost_layer_once(monkeypatch):
     calls.clear()
     cost, events, orders = _DrawingSearch(g, NO_BUDGET).min_drawing(frozenset(), 4)
     assert res.value == cost == 4
-    assert cr_calls <= len(calls)
+    assert cr_calls == len(calls)
     assert res.witness == make_drawing(g, events, orders)
 
 
@@ -105,6 +105,9 @@ def test_cr_budget_unknown(k6):
     assert res.status == "unknown"
     assert res.value is None
     assert res.lower_bound >= 1
+    # above the Euler count of K3,5, 0: the walk has exhausted layers 0-2
+    res = crossing_number(complete_bipartite(3, 5), SearchBudget(max_nodes=3000))
+    assert (res.status, res.lower_bound) == ("unknown", 3)
 
 
 # -- decide ------------------------------------------------------------------
@@ -122,6 +125,12 @@ def test_decide_k5_table(k5):
     assert decide_uncrossed_cost(k5, 2, 2).verdict == "yes"
     assert decide_uncrossed_cost(k5, 2, 1).verdict == "no"
     assert decide_uncrossed_cost(k5, 2, 0).verdict == "no"  # the deepening's first level
+
+
+def test_decide_one_drawing_of_a_nonplanar_graph_is_no_at_once(k5):
+    start = time.perf_counter()
+    assert decide_uncrossed_cost(k5, 1, 10**9).verdict == "no"
+    assert time.perf_counter() - start < 0.5
 
 
 def test_decide_monotone_in_c_and_k(k5, k33):
