@@ -46,7 +46,6 @@ from .core import (
 )
 from .planarity import (
     Embedding,
-    _darts_at,
     build_embedding,
     component_faces,
     components_of,
@@ -325,8 +324,6 @@ class RealizabilityContext:
         components side by side with the endpoints outward), so only pairs
         inside one component are tested, in sorted order.
         """
-        if len(skel) + 1 <= 8:
-            return True  # any single addition stays too small to matter
         for u, v in pairs:
             cu = comp_of.get(u)
             if cu is not None and cu == comp_of.get(v) and not skeleton_planar(skel | {(u, v)}):
@@ -339,48 +336,39 @@ class RealizabilityContext:
         """Rotations of one component hosting all its required pairs.
 
         Entries are (succ copy, faces); rotations repeating an earlier face
-        vertex-set family are dropped.  Returns None when the rotation cap
-        is exhausted, or at once when one vertex's cycle list alone would
-        exceed it.  ``within`` must equal the required pairs inside this
-        component, which only depend on the edge set, so results are cached
-        by the edge set.  Trees and simple 3-connected components have one
-        face vertex-set family and skip the enumeration: a tree takes the
-        enumerator's first rotation (every vertex's darts in sorted order).
+        vertex-set family are dropped.  Returns None once the context has
+        taken more than :data:`ROTATION_BUDGET` rotations.  ``within`` must
+        equal the required pairs inside this component, which only depend
+        on the edge set, so results are cached by the edge set.  Trees and
+        simple 3-connected components have one face vertex-set family and
+        take one rotation: a tree the enumerator's first (every vertex's
+        darts in sorted order), a 3-connected component the LR one.  Any
+        other component is None at once when a vertex of degree d has
+        d * (d-1)! > ROTATION_BUDGET: the clock is read only between
+        rotations yielded, and the enumerator may try that vertex's (d-1)!
+        cycles between two of them.
         """
         key = frozenset(edges)
         if key in self.profile_cache:
             return self.profile_cache[key]
         g = self.g
-        candidates = None
         if len(edges) == len(vertices) - 1:
-            succ = [0] * (2 * g.m)
-            for darts in _darts_at(g, vertices, edges).values():
-                darts.sort()
-                for d, nxt in zip(darts, darts[1:] + darts[:1]):
-                    succ[d] = nxt
-            candidates = [succ]
-        elif len(edges) == len(g.skeleton(edges)):
-            if _three_connected(g, vertices, edges):
-                succ = _single_lr_rotation(g, vertices, edges)
-                candidates = [succ]
-        out = []
-        seen_families = set()
-        count = 0
-        exceeded = False
-        budget = None
-        if candidates is None:
-            # a degree-d vertex alone lists d * (d-1)! darts of cycles
+            rotations = itertools.islice(planar_rotations_of_component(g, vertices, edges), 1)
+        elif len(edges) == len(g.skeleton(edges)) and _three_connected(g, vertices, edges):
+            rotations = [_single_lr_rotation(g, vertices, edges)]
+        else:
             degree = Counter(v for e in edges for v in g.edges[e][:2])
             if max(d * math.factorial(d - 1) for d in degree.values()) > ROTATION_BUDGET:
-                candidates, exceeded = (), True
-            else:
-                budget = ROTATION_BUDGET - self.rotations_spent
-                candidates = planar_rotations_of_component(g, vertices, edges, half=True)
-        for succ in candidates:
+                self.profile_cache[key] = None
+                return None
+            rotations = planar_rotations_of_component(g, vertices, edges, half=True)
+        out = []
+        seen_families = set()
+        for succ in rotations:
             self.ticker.check_clock()
-            count += 1
-            if budget is not None and count > budget:
-                exceeded = True
+            self.rotations_spent += 1
+            if self.rotations_spent > ROTATION_BUDGET:
+                out = None
                 break
             faces = component_faces(g, vertices, edges, succ)
             ok = True
@@ -395,10 +383,8 @@ class RealizabilityContext:
                 continue
             seen_families.add(family)
             out.append((list(succ), faces))
-        self.rotations_spent += count
-        result = None if exceeded else out
-        self.profile_cache[key] = result
-        return result
+        self.profile_cache[key] = out
+        return out
 
     # -- the decision ----------------------------------------------------
 

@@ -185,15 +185,18 @@ def planar_rotations_of_component(
     (systems before pruning); a larger product raises
     ResourceExceededError before anything is yielded.
 
-    Vertices get their rotations in order, and faces are traced while they
-    do: the face step ``d -> succ[d ^ 1]`` is fixed once the vertex ``d``
-    enters is assigned, so the fixed steps form chains of darts, and a step
-    that joins a chain's end to its own start closes a face.  An open chain
-    that starts and ends at one unassigned vertex (a *loop*) may still close
-    alone; any other face still to close needs at least two open chains.
-    A subtree whose bound ``closed + loops + others // 2`` falls short of
-    Euler's face count is skipped; it holds no genus-zero leaf, so the
-    systems come in the same order as a plain product with a leaf test.
+    Vertices get their rotations in order, each cyclic order built as it
+    is tried, so the first system (every vertex's darts in sorted order,
+    when genus zero) needs none of the others.  Faces are traced while
+    they do: the face step ``d -> succ[d ^ 1]`` is fixed once the vertex
+    ``d`` enters is assigned, so the fixed steps form chains of darts, and
+    a step that joins a chain's end to its own start closes a face.  An
+    open chain that starts and ends at one unassigned vertex (a *loop*)
+    may still close alone; any other face still to close needs at least
+    two open chains.  A subtree whose bound
+    ``closed + loops + others // 2`` falls short of Euler's face count is
+    skipped; it holds no genus-zero leaf, so the systems come in the same
+    order as a plain product with a leaf test.
     """
     at_vertex = _darts_at(g, vertices, edges)
     n_c, m_c = len(vertices), len(edges)
@@ -205,7 +208,6 @@ def planar_rotations_of_component(
     size = 2 * g.m
     tail = [0] * size  # position of the vertex a dart leaves
     head = [0] * size  # position of the vertex a dart enters
-    per_vertex: list[list[tuple[tuple[int, int, int], ...]]] = []
     own_darts: list[list[int]] = []
     open_after: list[int] = []  # open chains once positions 0..i are assigned
     remaining = 2 * m_c
@@ -215,19 +217,11 @@ def planar_rotations_of_component(
         for d in ds:
             tail[d] = i
             head[d ^ 1] = i
-        flip = half and v == anchor
-        total *= math.factorial(len(ds) - 1) // (2 if flip else 1)
+        total *= math.factorial(len(ds) - 1) // (2 if half and v == anchor else 1)
         if rotation_cap is not None and total > rotation_cap:
             raise ResourceExceededError(
                 f"rotation enumeration would try {total} systems (cap {rotation_cap})"
             )
-        cycles = [(ds[0], *rest) for rest in itertools.permutations(ds[1:])]
-        if flip:
-            cycles = [c for c in cycles if c[1] < c[-1]]
-        # per cycle: (dart, dart entering here, its successor) for each step
-        per_vertex.append(
-            [tuple((d, d ^ 1, c[(j + 1) % len(c)]) for j, d in enumerate(c)) for c in cycles]
-        )
         own_darts.append(ds)
         remaining -= len(ds)
         open_after.append(remaining)
@@ -237,18 +231,24 @@ def planar_rotations_of_component(
     last = n_c - 1
 
     def assign(i: int, start_of: list[int], end_of: list[int], closed: int, loops: int):
+        first, *later = own_darts[i]
         # loops at this vertex are consumed by its steps whatever its rotation
         for s in own_darts[i]:
             if head[end_of[s]] == i:
                 loops -= 1
         open_chains = open_after[i]
-        for steps in per_vertex[i]:
+        flip = half and vertices[i] == anchor
+        for rest in itertools.permutations(later):
+            if flip and rest[0] > rest[-1]:
+                continue  # the reflection of a kept cycle
             starts = start_of[:]
             ends = end_of[:]
             c, lp = closed, loops
-            for d, into, nxt in steps:
+            d = first
+            for nxt in rest + (first,):  # the cycle's steps d -> nxt
                 succ[d] = nxt
-                a = starts[into]
+                a = starts[d ^ 1]
+                d = nxt
                 if a == nxt:
                     c += 1
                     continue

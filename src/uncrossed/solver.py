@@ -117,7 +117,8 @@ class _DrawingSearch:
     def __init__(self, g: WeightedMultigraph, budget: SearchBudget):
         self.g = g
         self.ticker = Ticker(budget)
-        self.euler = _euler_count_lb(g)  # no cheaper event set is planarizable
+        # every drawing of the nonplanar G crosses at least this much
+        self.floor = max(1, _euler_count_lb(g))
         self.pairs = [
             (e, f)
             for e in range(g.m)
@@ -131,7 +132,7 @@ class _DrawingSearch:
         self.essential: frozenset[int] | None = None  # edges e with G - e nonplanar
         self.planar_without: dict[frozenset, bool] = {}  # removed edges -> G - R planar
         self.drawings_cache: dict[tuple, list] = {}
-        self.layer = self.euler  # the cost layer the latest walk is in
+        self.layer = self.floor  # the cost layer the latest walk is in
 
     # -- planarizability -------------------------------------------------
 
@@ -224,7 +225,7 @@ class _DrawingSearch:
     def _event_sets(self, avoid: frozenset, limit: int):
         """Every planarizable event set of cost <= limit not touching
         avoid, as (cost, events, orders, touched edges), lazily, in (cost,
-        sorted events) order: the cost layers from the Euler bound up, each
+        sorted events) order: the cost layers from :attr:`floor` up, each
         walked depth first in lexicographic order.
 
         A planarizable set is not extended: a superset costs more (weights
@@ -234,7 +235,7 @@ class _DrawingSearch:
         set is yielded.  ``self.layer`` is the layer being walked: every
         layer below it is exhausted.
         """
-        lb = self.euler
+        lb = self.floor
         allowed = [
             p
             for p in self.pairs
@@ -297,10 +298,9 @@ class _DrawingSearch:
             plans = ((got[1], got[2]),)
             best = (got[0], _plans_key(plans), plans)
         # a first drawing crossing an uncovered edge needs a further one,
-        # and every drawing of the nonplanar G costs at least ``floor``
-        floor = max(1, self.euler)
+        # and every drawing costs at least :attr:`floor`
         avoid = frozenset({min(uncovered)})
-        firsts = self.drawings_avoiding(avoid, k_left - floor) if c_left > 1 else []
+        firsts = self.drawings_avoiding(avoid, k_left - self.floor) if c_left > 1 else []
         for cost_d, events, orders, touched in firsts:
             if best is not None and cost_d > best[0]:
                 break  # sorted by cost: nothing cheaper is left
@@ -352,7 +352,7 @@ def crossing_number(
             frozenset(), sum(search.pair_cost.values())
         )
     except BudgetExhausted:
-        return CrossingNumberResult("unknown", None, max(1, search.layer), None, None)
+        return CrossingNumberResult("unknown", None, search.layer, None, None)
     return CrossingNumberResult("exact", cost, cost, cost, make_drawing(g, events, orders))
 
 
@@ -367,8 +367,10 @@ def decide_uncrossed_cost(
 
     Yes-answers carry a verified witness, canonical across runs: the
     lexicographically least event structure among all optimal collections.
-    It probes the cost limits 0, 1, ..., max_cost and stops at the first
-    that succeeds, the optimum, whose witness a probe at max_cost shares.
+    A yes needs at least two drawings of the nonplanar G, each costing at
+    least the search's floor, so it probes the cost limits from twice the
+    floor up to max_cost and stops at the first that succeeds, the
+    optimum, whose witness a probe at max_cost shares.
     """
     if max_drawings < 1 or max_cost < 0:
         raise PreconditionError("need max_drawings >= 1 and max_cost >= 0")
@@ -377,7 +379,7 @@ def decide_uncrossed_cost(
     if max_drawings == 1:
         return Decision("no")  # one drawing of a nonplanar graph always crosses
     search = _DrawingSearch(g, budget)
-    for cost in range(max_cost + 1):
+    for cost in range(2 * search.floor, max_cost + 1):
         dec = _probe(search, max_drawings, cost)
         if dec.verdict != "no":
             return dec
@@ -413,14 +415,14 @@ def uncrossed_crossing_number(
 
     Uses the equivalence "cost k achievable iff achievable with <= k
     drawings": "ucr <= k?" is ``decide_uncrossed_cost(g, k, k)``.  The
-    outer loop probes (k, k) for k = 2 * euler, 2 * euler + 1, ... until the
+    outer loop probes (k, k) for k = 2 * floor, 2 * floor + 1, ... until the
     answer is not "no", then the inner loop shrinks the number of drawings
     at the optimal cost.  Each step is one probe at exactly (c, k).
     """
     if graph_planar(g):
         return UcrResult("exact", 0, 1, 0, 0, _trivial_planar_witness(g))
     search = _DrawingSearch(g, budget)  # one budget and cache for every probe
-    k = max(1, 2 * search.euler)  # two drawings, each crossing
+    k = 2 * search.floor  # two drawings, each crossing
     while (dec := _probe(search, k, k)).verdict == "no":
         k += 1
     if dec.verdict == "unknown":

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import pathlib
 
 import uncrossed
 import uncrossed.core
@@ -37,3 +38,23 @@ def test_search_budget_has_only_the_limits_the_cli_sets():
     # cli._budget_from sets exactly these from --budget/UNCROSSED_BUDGET and --max-nodes
     names = [f.name for f in dataclasses.fields(uncrossed.core.SearchBudget)]
     assert names == ["wall_clock_seconds", "max_nodes"]
+
+
+def test_every_import_is_used():
+    # names a module imports but never reads, __all__ re-exports exempt;
+    # the package __init__ only re-exports
+    package = pathlib.Path(uncrossed.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set(getattr(importlib.import_module(f"uncrossed.{path.stem}"), "__all__", ()))
+        assert imported - read - exported == set(), path.name

@@ -249,8 +249,10 @@ def test_cover_parts_match_first_restricted_growth_string(g):
 
 
 def test_high_degree_component_is_unknown_before_enumerating():
-    # one vertex of degree 12 would list 11! rotation cycles; the child's
-    # address space is capped so a regression fails instead of swapping
+    # one vertex of degree 12 has 11! rotation cycles, which the enumerator
+    # may walk between two rotations without reading the clock, so the
+    # component is unknown before any is tried; the child's address space
+    # is capped so a regression fails instead of swapping
     code = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))

@@ -18,7 +18,7 @@ from uncrossed.planarity import (
     planar_rotations_of_component,
 )
 
-from conftest import atlas_graphs, brute_planar, cycle
+from conftest import atlas_graphs, brute_planar, cycle, run_python
 
 
 def test_k4_planar(k4):
@@ -239,3 +239,27 @@ def test_pruned_rotations_match_full_product(g, half):
         if es:
             with pytest.raises(ResourceExceededError):
                 next(planar_rotations_of_component(g, vs, es, rotation_cap=size - 1, half=half))
+
+
+def test_star_yields_its_first_rotation_at_once():
+    # the hub of K1,12 has 11! cyclic orders, built one at a time, so the
+    # first rotation (every vertex's darts in sorted order) needs none of
+    # the others; the child's address space is capped so a regression fails
+    # instead of swapping
+    code = """
+import resource
+import time
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from uncrossed.core import graph_from_edges
+from uncrossed.planarity import components_of, planar_rotations_of_component, rotation_from_succ
+g = graph_from_edges(13, [(0, v) for v in range(1, 13)])
+[(vs, es)] = components_of(g)
+start = time.perf_counter()
+succ = next(planar_rotations_of_component(g, vs, es))
+took = time.perf_counter() - start
+cycles = rotation_from_succ(g, vs, es, succ).values()
+print(took < 1, len(cycles), all(list(c) == sorted(c) for c in cycles))
+"""
+    out = run_python(code, timeout=120)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.split() == ["True", "13", "True"]

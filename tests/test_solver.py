@@ -699,7 +699,8 @@ def test_unc_is_unknown_when_a_certificate_exceeds_the_rotation_budget():
     assert (res.status, res.lower_bound, res.upper_bound, res.certificates) == (
         "unknown", 1, 1, None
     )
-    # a tree has one face, so its certificate needs no enumeration
+    # a tree has one face, so its certificate takes the enumerator's first
+    # rotation and never reaches the hub's other cycles
     tree = graph_from_edges(12, star)
     res = uncrossed_number(tree)
     assert (res.status, res.value, len(res.certificates)) == ("exact", 1, 1)
@@ -708,13 +709,14 @@ def test_unc_is_unknown_when_a_certificate_exceeds_the_rotation_budget():
 
 def test_unc_certificates_respect_the_wall_clock():
     # the cover is one outerplanar part, found at once; its certificate
-    # enumerates the rotations of the degree-10 hub, which takes seconds
+    # enumerates the rotations of the degree-10 hub, which takes seconds,
+    # and the clock is read between every two of them
     star = [(0, v) for v in range(1, 11)]
     start = time.perf_counter()
     res = uncrossed_number(
         graph_from_edges(11, star + [(1, 2)]), SearchBudget(wall_clock_seconds=0.1)
     )
-    assert time.perf_counter() - start < 3
+    assert time.perf_counter() - start < 0.5
     assert (res.status, res.value, res.lower_bound, res.upper_bound, res.certificates) == (
         "unknown", None, 1, 1, None
     )
