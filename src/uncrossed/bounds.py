@@ -8,6 +8,7 @@ exact rational arithmetic and reported both as fractions and as integers
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,6 +60,13 @@ def outerthickness(g: WeightedMultigraph, budget: SearchBudget = NO_BUDGET) -> C
     return CoverSearch(g, outerplanar_part, budget, PairColours(g).partition_key).minimum()
 
 
+def _lower(name: str, value: Fraction | None, provenance: str, needs: str) -> BoundEntry:
+    """A lower-bound entry, rounded up, or an inapplicable one when value is None."""
+    if value is None:
+        return BoundEntry(name, False, "lower", None, None, needs)
+    return BoundEntry(name, True, "lower", value, math.ceil(value), provenance)
+
+
 def ucr_lower_bound(g: WeightedMultigraph) -> BoundReport:
     """Density lower bounds on the uncrossed crossing number.
 
@@ -68,41 +76,14 @@ def ucr_lower_bound(g: WeightedMultigraph) -> BoundReport:
     """
     n, m = g.n, g.m
     simple = len(g.skeleton()) == m and all(w == 1 for _, _, w in g.edges)
-    entries = []
-    quartic_ok = simple and n >= 1 and m >= 7 * n
-    if quartic_ok:
-        val = Fraction(m**4, 87 * n**3)
-        entries.append(
-            BoundEntry(
-                "ucr_quartic",
-                True,
-                "lower",
-                val,
-                -(-val.numerator // val.denominator),
-                "m^4/(87 n^3) for simple graphs with m >= 7n",
-            )
-        )
-    else:
-        entries.append(
-            BoundEntry("ucr_quartic", False, "lower", None, None, "needs simple, m >= 7n")
-        )
-    if simple and n >= 3 and m > 0:
-        per = Fraction(m, 3 * n - 6)
-        entries.append(
-            BoundEntry(
-                "drawings_count",
-                True,
-                "lower",
-                per,
-                -(-per.numerator // per.denominator),
-                "any plane drawing leaves at most 3n-6 edges uncrossed",
-            )
-        )
-    else:
-        entries.append(
-            BoundEntry("drawings_count", False, "lower", None, None, "needs simple, n >= 3")
-        )
-    return BoundReport(tuple(entries))
+    quartic = Fraction(m**4, 87 * n**3) if simple and n >= 1 and m >= 7 * n else None
+    per = Fraction(m, 3 * n - 6) if simple and n >= 3 and m > 0 else None
+    return BoundReport((
+        _lower("ucr_quartic", quartic,
+               "m^4/(87 n^3) for simple graphs with m >= 7n", "needs simple, m >= 7n"),
+        _lower("drawings_count", per,
+               "any plane drawing leaves at most 3n-6 edges uncrossed", "needs simple, n >= 3"),
+    ))
 
 
 @dataclass(frozen=True)
@@ -138,9 +119,9 @@ def kn_bounds(n: int, cr_kn: int | None = None, cr_lower: int = 0) -> KnBounds:
     return KnBounds(
         n=n,
         lower_exact=lower,
-        lower_int=-(-lower.numerator // lower.denominator),
+        lower_int=math.ceil(lower),
         refined_upper_exact=refined,
         coarse_upper_exact=coarse,
         upper_exact=upper,
-        upper_int=upper.numerator // upper.denominator,
+        upper_int=math.floor(upper),
     )

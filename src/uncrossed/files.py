@@ -117,6 +117,15 @@ def witness_to_document(
     return doc
 
 
+def _number(value) -> int:
+    """A document number, an int that is not a bool: ``int()`` would cut
+    2.9 to 2, read ``true`` as 1 and overflow on the infinity JSON makes
+    of 1e400."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"expected an integer, got {type(value).__name__} {value!r:.40}")
+    return value
+
+
 def witness_from_document(doc: dict, base_dir=None):
     """Returns (CollectionWitness, WeightedMultigraph).
 
@@ -132,7 +141,8 @@ def witness_from_document(doc: dict, base_dir=None):
         if "graph" in doc:
             gd = doc["graph"]
             graph = WeightedMultigraph(
-                int(gd["n"]), tuple((int(u), int(v), int(w)) for u, v, w in gd["edges"])
+                _number(gd["n"]),
+                tuple((_number(u), _number(v), _number(w)) for u, v, w in gd["edges"]),
             )
         elif "graph_ref" in doc:
             ref = Path(doc["graph_ref"])
@@ -144,17 +154,18 @@ def witness_from_document(doc: dict, base_dir=None):
         drawings = []
         for dd in doc.get("drawings", []):
             crossings = tuple(
-                CrossingEvent(int(c["e"]), int(c["f"])) for c in dd.get("crossings", [])
+                CrossingEvent(_number(c["e"]), _number(c["f"]))
+                for c in dd.get("crossings", [])
             )
             orders = tuple(
                 sorted(
-                    (int(eid), tuple(int(i) for i in seq))
+                    (int(eid), tuple(_number(i) for i in seq))
                     for eid, seq in dd.get("edge_orders", {}).items()
                 )
             )
             drawings.append(DrawingWitness(crossings=crossings, edge_orders=orders))
         witness = CollectionWitness(
-            drawings=tuple(drawings), declared_cost=int(doc["declared_cost"])
+            drawings=tuple(drawings), declared_cost=_number(doc["declared_cost"])
         )
     except KeyError as exc:
         raise ParseError(f"witness document is missing field {exc}") from None
@@ -176,4 +187,6 @@ def load_witness(path):
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     return witness_from_document(doc, base_dir=Path(path).parent)

@@ -110,8 +110,8 @@ def _euler_count_lb(g: WeightedMultigraph) -> int:
 class _DrawingSearch:
     """Shared context: independent pairs, planarizability cache, budget.
 
-    Every cache depends on g alone or carries the drawing count and cost
-    limit in its key, so one search serves any number of decisions.
+    Every cache depends on g alone or carries its cost limit in its key,
+    so one search serves any number of decisions.
     """
 
     def __init__(self, g: WeightedMultigraph, budget: SearchBudget):
@@ -133,6 +133,7 @@ class _DrawingSearch:
         self.planar_without: dict[frozenset, bool] = {}  # removed edges -> G - R planar
         self.drawings_cache: dict[tuple, list] = {}
         self.layer = self.floor  # the cost layer the latest walk is in
+        self.level = 2 * self.floor  # the collection cost least_plan is at
 
     # -- planarizability -------------------------------------------------
 
@@ -280,18 +281,31 @@ class _DrawingSearch:
 
     # -- covering recursion ----------------------------------------------
 
-    def cover(self, uncovered: frozenset, c_left: int, k_left: int):
-        """Min-cost plan covering ``uncovered`` with <= c_left drawings.
+    def least_plan(self, max_drawings: int, limit: int | None = None):
+        """Least plan covering E(G) with <= max_drawings drawings, by cost.
 
-        Returns (cost, plans) with plans a tuple of (events, orders), or
-        None when impossible within k_left.  Among plans of least cost the
-        one with the least :func:`_plans_key` wins, so the answer is the
-        same for every k_left at or above that cost.
+        Deepens :attr:`level` from twice :attr:`floor` (a nonplanar G needs
+        two drawings, each crossing) and returns the first :meth:`cover`
+        found, or None once the level passes ``limit``.  Every level below
+        :attr:`level` has no plan, so it is the proven lower bound.
         """
-        if not uncovered:
-            return 0, ()
-        if c_left <= 0:
-            return None
+        everything = frozenset(range(self.g.m))
+        self.level = 2 * self.floor
+        while limit is None or self.level <= limit:
+            self.ticker.tick()
+            got = self.cover(everything, max_drawings, self.level)
+            if got is not None:
+                return got
+            self.level += 1
+        return None
+
+    def cover(self, uncovered: frozenset, c_left: int, k_left: int):
+        """Min-cost plan covering ``uncovered`` (nonempty) with <= c_left
+        (>= 1) drawings: (cost, plans) with plans a tuple of (events,
+        orders), or None when impossible within k_left.  Among plans of
+        least cost the one with the least :func:`_plans_key` wins, so the
+        answer is the same for every k_left at or above that cost.
+        """
         best = None  # (total, _plans_key, plans) of the least plan so far
         got = self.min_drawing(uncovered, k_left)  # the least one-drawing plan
         if got is not None:
@@ -323,12 +337,19 @@ def _plans_key(plans) -> tuple:
 
 
 def _witness_from_plans(g: WeightedMultigraph, plans) -> CollectionWitness:
-    drawings = sorted(
-        (make_drawing(g, events, orders) for events, orders in plans),
-        key=lambda d: tuple(ev.pair() for ev in d.crossings),
-    )
+    return _verified_collection(g, [make_drawing(g, *plan) for plan in plans])
+
+
+def _verified_collection(g: WeightedMultigraph, drawings) -> CollectionWitness:
+    """The collection of ``drawings`` sorted by crossings, at their summed
+    cost; an AssertionError if :func:`verify_collection` rejects it."""
+    drawings = sorted(drawings, key=lambda d: tuple(ev.pair() for ev in d.crossings))
     total = sum(d.cost(g) for d in drawings)
-    return CollectionWitness(drawings=tuple(drawings), declared_cost=total)
+    witness = CollectionWitness(drawings=tuple(drawings), declared_cost=total)
+    check = verify_collection(g, witness)
+    if not check.accepted:
+        raise AssertionError(f"solver produced an invalid collection: {check.rule}")
+    return witness
 
 
 def _trivial_planar_witness(g: WeightedMultigraph) -> CollectionWitness:
@@ -367,10 +388,8 @@ def decide_uncrossed_cost(
 
     Yes-answers carry a verified witness, canonical across runs: the
     lexicographically least event structure among all optimal collections.
-    A yes needs at least two drawings of the nonplanar G, each costing at
-    least the search's floor, so it probes the cost limits from twice the
-    floor up to max_cost and stops at the first that succeeds, the
-    optimum, whose witness a probe at max_cost shares.
+    It is the least plan within max_cost, so cost deepening stops at the
+    optimum and never lists a drawing dearer than the optimum allows.
     """
     if max_drawings < 1 or max_cost < 0:
         raise PreconditionError("need max_drawings >= 1 and max_cost >= 0")
@@ -379,32 +398,13 @@ def decide_uncrossed_cost(
     if max_drawings == 1:
         return Decision("no")  # one drawing of a nonplanar graph always crosses
     search = _DrawingSearch(g, budget)
-    for cost in range(2 * search.floor, max_cost + 1):
-        dec = _probe(search, max_drawings, cost)
-        if dec.verdict != "no":
-            return dec
-    return Decision("no")
-
-
-def _probe(search: _DrawingSearch, max_drawings: int, max_cost: int) -> Decision:
-    """One cost level of :func:`decide_uncrossed_cost` for a nonplanar
-    graph, on ``search``: the least plan within max_cost, verified.
-
-    Every call ticks the search's budget, so a loop of probes stops too.
-    """
-    g = search.g
     try:
-        search.ticker.tick()
-        got = search.cover(frozenset(range(g.m)), max_drawings, max_cost)
+        got = search.least_plan(max_drawings, max_cost)
     except BudgetExhausted:
         return Decision("unknown")
     if got is None:
         return Decision("no")
-    witness = _witness_from_plans(g, got[1])
-    check = verify_collection(g, witness)
-    if not check.accepted:
-        raise AssertionError(f"solver produced an invalid witness: {check.rule}")
-    return Decision("yes", witness)
+    return Decision("yes", _witness_from_plans(g, got[1]))
 
 
 def uncrossed_crossing_number(
@@ -413,32 +413,28 @@ def uncrossed_crossing_number(
     """Minimum total cost of an uncrossed collection, and the least number
     of drawings attaining it.
 
-    Uses the equivalence "cost k achievable iff achievable with <= k
-    drawings": "ucr <= k?" is ``decide_uncrossed_cost(g, k, k)``.  The
-    outer loop probes (k, k) for k = 2 * floor, 2 * floor + 1, ... until the
-    answer is not "no", then the inner loop shrinks the number of drawings
-    at the optimal cost.  Each step is one probe at exactly (c, k).
+    The least plan with up to m drawings has the optimal cost k: m never
+    binds, since every drawing of a plan leaves uncrossed an edge no
+    earlier one did.  Then the drawing count shrinks at k while a cover
+    with one drawing fewer exists; a nonplanar G needs two.
     """
     if graph_planar(g):
         return UcrResult("exact", 0, 1, 0, 0, _trivial_planar_witness(g))
-    search = _DrawingSearch(g, budget)  # one budget and cache for every probe
-    k = 2 * search.floor  # two drawings, each crossing
-    while (dec := _probe(search, k, k)).verdict == "no":
-        k += 1
-    if dec.verdict == "unknown":
-        return UcrResult("unknown", None, None, k, None, None)
-    witness = dec.witness
-    c_try = len(witness.drawings)
-    while c_try > 1:
-        lower = _probe(search, c_try - 1, k)
-        if lower.verdict == "unknown":
-            # optimal cost is proven but not the least drawing count
-            return UcrResult("unknown", k, None, k, k, witness)
-        if lower.verdict == "no":
-            break
-        witness = lower.witness
-        c_try -= 1
-    return UcrResult("exact", k, c_try, k, k, witness)
+    search = _DrawingSearch(g, budget)  # one budget and cache for every cover
+    try:
+        k, plans = search.least_plan(g.m)
+    except BudgetExhausted:
+        return UcrResult("unknown", None, None, search.level, None, None)
+    witness = _witness_from_plans(g, plans)
+    try:
+        while len(witness.drawings) > 2 and (
+            got := search.cover(frozenset(range(g.m)), len(witness.drawings) - 1, k)
+        ):
+            witness = _witness_from_plans(g, got[1])
+    except BudgetExhausted:
+        # optimal cost is proven but not the least drawing count
+        return UcrResult("unknown", k, None, k, k, witness)
+    return UcrResult("exact", k, len(witness.drawings), k, k, witness)
 
 
 def uncrossed_number(g: WeightedMultigraph, budget: SearchBudget = NO_BUDGET) -> UncResult:
@@ -522,13 +518,7 @@ def collection_from_certificates(
             )
         events, orders = chord_crossings(chords.values(), _parabola_parameter)
         drawings.append(make_drawing(g, events, orders))
-    drawings.sort(key=lambda d: tuple(ev.pair() for ev in d.crossings))
-    total = sum(d.cost(g) for d in drawings)
-    witness = CollectionWitness(drawings=tuple(drawings), declared_cost=total)
-    check = verify_collection(g, witness)
-    if not check.accepted:
-        raise AssertionError(f"cover collection failed verification: {check.rule}")
-    return witness
+    return _verified_collection(g, drawings)
 
 
 def _parabola_parameter(a1, b1, a2, b2):

@@ -58,3 +58,30 @@ def test_every_import_is_used():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         exported = set(getattr(importlib.import_module(f"uncrossed.{path.stem}"), "__all__", ()))
         assert imported - read - exported == set(), path.name
+
+
+def _private_definitions(tree):
+    """Top-level functions and classes, and their methods, named _x but not __x__."""
+    for node in tree.body:
+        inner = node.body if isinstance(node, ast.ClassDef) else []
+        for d in [node, *inner]:
+            if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if d.name.startswith("_") and not d.name.endswith("__"):
+                    yield d.name
+
+
+def test_no_private_helper_is_dead():
+    # a private helper that no module reads, as a name or an attribute, is dead
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(pathlib.Path(uncrossed.__file__).parent.glob("*.py"))
+    }
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    private = [(name, d) for name, tree in trees.items() for d in _private_definitions(tree)]
+    assert len(private) > 40
+    assert [(name, d) for name, d in private if d not in read] == []

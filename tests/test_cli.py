@@ -41,9 +41,42 @@ def _graph_without_edges(doc):
     del doc["graph"]["edges"]
 
 
+def _fractional_cost(doc):
+    doc["declared_cost"] = doc["declared_cost"] + 0.9  # int() would read it back
+
+
+def _boolean_crossing(doc):
+    doc["drawings"][0]["crossings"][0]["e"] = True  # int() reads 1
+
+
+def _overflowing(field):
+    # JSON reads 1e400 as infinity, on which int() raises OverflowError
+    def corrupt(doc):
+        if field == "declared_cost":
+            doc["declared_cost"] = "HUGE"
+        elif field == "weight":
+            doc["graph"]["edges"][0][2] = "HUGE"
+        else:
+            doc["drawings"][0]["crossings"][0]["f"] = "HUGE"
+
+    corrupt.__name__ = f"_overflowing_{field}"
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [_crossing_without_f, _crossing_of_one_edge, _no_drawings, _text_cost, _graph_without_edges],
+    [
+        _crossing_without_f,
+        _crossing_of_one_edge,
+        _no_drawings,
+        _text_cost,
+        _graph_without_edges,
+        _fractional_cost,
+        _boolean_crossing,
+        _overflowing("declared_cost"),
+        _overflowing("weight"),
+        _overflowing("crossing"),
+    ],
 )
 def test_verify_malformed_witness_exits_3(tmp_path, capsys, corrupt):
     k5 = str(tmp_path / "k5.txt")
@@ -52,7 +85,17 @@ def test_verify_malformed_witness_exits_3(tmp_path, capsys, corrupt):
     run(capsys, "solve", "--mode", "ucrk", "--c", "2", "--k", "2", "--input", k5, "--witness", str(w))
     doc = json.loads(w.read_text())
     corrupt(doc)
-    w.write_text(json.dumps(doc))
+    w.write_text(json.dumps(doc).replace('"HUGE"', "1e400"))
+    assert main(["verify", "--input", k5, "--witness", str(w)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_verify_deeply_nested_witness_exits_3(tmp_path, capsys):
+    k5 = str(tmp_path / "k5.txt")
+    run(capsys, "gen", "complete", "5", "--out", k5)
+    w = tmp_path / "w.json"
+    w.write_text("[" * 100_000)
     assert main(["verify", "--input", k5, "--witness", str(w)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")

@@ -82,6 +82,21 @@ def test_forged_certificates_are_rejected(k5):
         assert not certificate_is_valid(k5, dataclasses.replace(one, edge_subset=forged))
 
 
+def test_certificates_with_bad_hosting_are_rejected(k5):
+    ids = edge_id_map(k5)
+    s = [e for e in range(10) if e not in (ids[(0, 1)], ids[(2, 3)])]
+    cert = realizable_uncrossed_set(k5, s).certificate
+    assert certificate_is_valid(k5, cert)
+    # every edge outside S needs a hosting entry
+    assert not certificate_is_valid(k5, dataclasses.replace(cert, hosting=cert.hosting[1:]))
+    # and the hosting face must hold both of its endpoints
+    eid, _ = cert.hosting[0]
+    u, v, _ = k5.edges[eid]
+    lacking = next(f.id for f in cert.embedding.faces if not {u, v} <= f.vertices)
+    moved = ((eid, lacking), *cert.hosting[1:])
+    assert not certificate_is_valid(k5, dataclasses.replace(cert, hosting=moved))
+
+
 def test_shown_face_other_than_first():
     # the pendant vertex 6 lies on one face of the triangle 4-5-7 only, and
     # the pairs (2, 6), (3, 6), (3, 4) need that face turned towards K4

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from uncrossed.files import (
@@ -99,3 +101,29 @@ def test_witness_document_errors(k5):
         witness_from_document({"graph": {"n": 2, "edges": []}, "drawings": [
             {"crossings": [], "edge_orders": {}}
         ]})
+
+
+@pytest.mark.parametrize("value", [2.9, float("inf"), True, "2", None])
+def test_witness_numbers_must_be_integers(k5, value):
+    # int() would read 2.9 as 2, true as 1 and "2" as 2, and raise
+    # OverflowError on the infinity that JSON makes of 1e400
+    doc = witness_to_document(decide_uncrossed_cost(k5, 2, 2).witness, graph=k5)
+    places = [
+        lambda d: d.__setitem__("declared_cost", value),
+        lambda d: d["graph"].__setitem__("n", value),
+        lambda d: d["graph"]["edges"][0].__setitem__(2, value),
+        lambda d: d["drawings"][0]["crossings"][0].__setitem__("e", value),
+        lambda d: next(iter(d["drawings"][0]["edge_orders"].values())).__setitem__(0, value),
+    ]
+    for corrupt in places:
+        bad = json.loads(json.dumps(doc))
+        corrupt(bad)
+        with pytest.raises(ParseError):
+            witness_from_document(bad)
+
+
+def test_deeply_nested_witness_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(ParseError):
+        load_witness(path)

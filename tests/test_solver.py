@@ -11,6 +11,7 @@ from uncrossed.bounds import outerthickness, thickness
 from uncrossed.core import (
     NO_BUDGET,
     CollectionWitness,
+    CrossingEvent,
     DrawingWitness,
     PreconditionError,
     WeightedMultigraph,
@@ -32,7 +33,7 @@ from uncrossed.solver import (
     SearchBudget,
     UcrResult,
     _DrawingSearch,
-    _probe,
+    _witness_from_plans,
     crossing_number,
     decide_uncrossed_cost,
     reference_oracle,
@@ -165,7 +166,7 @@ def test_decide_heavy_cycle(k5):
 def test_cost_deepening_stops_at_the_optimum():
     # a yes at declared cost d is a no at d - 1, and every limit at or
     # above d gives the witness of d, which is also the one a single
-    # probe at the full limit finds
+    # cover at the full limit finds
     from uncrossed.planarity import graph_planar
 
     graphs = [g for g in atlas_graphs(6) if g.m <= 12 and not graph_planar(g)]
@@ -173,8 +174,10 @@ def test_cost_deepening_stops_at_the_optimum():
     for g in [*graphs, complete(5), complete_bipartite(3, 3)]:
         for c, k in ((2, 2), (2, 3), (3, 3), (3, 4), (2, 5), (4, 6)):
             dec = decide_uncrossed_cost(g, c, k)
-            if k <= 4:  # a single probe lists every drawing up to k
-                assert _probe(_DrawingSearch(g, NO_BUDGET), c, k) == dec, (g.edges, c, k)
+            if k <= 4:  # a single cover lists every drawing up to k
+                got = _DrawingSearch(g, NO_BUDGET).cover(frozenset(range(g.m)), c, k)
+                once = None if got is None else _witness_from_plans(g, got[1])
+                assert once == dec.witness, (g.edges, c, k)
             if dec.verdict == "no":
                 continue
             d = dec.witness.declared_cost
@@ -270,6 +273,32 @@ def test_ucr_two_light_family():
         assert verify_collection(g, res.witness).accepted
 
 
+def test_ucr_shrinks_the_drawing_count_at_the_optimum():
+    # the least plan of cost 4 takes three drawings; ucr then finds one of
+    # two drawings at the same cost
+    g = WeightedMultigraph(7, (
+        (0, 1, 4), (0, 3, 3), (0, 4, 3), (1, 2, 1), (1, 4, 1), (2, 3, 4), (2, 5, 3),
+        (2, 6, 5), (3, 5, 1), (3, 6, 5), (4, 5, 3), (4, 6, 1), (5, 6, 1),
+    ))
+    least = decide_uncrossed_cost(g, 4, 4)
+    assert least.verdict == "yes" and least.witness.declared_cost == 4
+    assert len(least.witness.drawings) == 3
+    assert decide_uncrossed_cost(g, 9, 3).verdict == "no"
+    res = uncrossed_crossing_number(g)
+    assert (res.status, res.ucr, res.ounc, res.lower_bound) == ("exact", 4, 2, 4)
+    assert len(res.witness.drawings) == 2 and res.witness.declared_cost == 4
+    assert verify_collection(g, res.witness).accepted
+
+
+@pytest.mark.parametrize("nodes, lower_bound", [(50, 3), (3200, 4)])
+def test_ucr_budget_keeps_the_proven_level(nodes, lower_bound):
+    # ucr(K3,4) = 2 * cr(K3,4) = 4 (Zarankiewicz); every cost level below
+    # the one the budget stops is proven empty
+    res = uncrossed_crossing_number(complete_bipartite(3, 4), SearchBudget(max_nodes=nodes))
+    assert (res.status, res.ucr, res.ounc) == ("unknown", None, None)
+    assert res.lower_bound == lower_bound
+
+
 def _weighted_k33():
     k33 = complete_bipartite(3, 3)
     return WeightedMultigraph(6, tuple((u, v, i % 3 + 1) for i, (u, v, _) in enumerate(k33.edges)))
@@ -287,7 +316,7 @@ def _weighted_k33():
     ids=["heavy-cycle-3", "two-light-3", "k33", "k5", "weighted-k33"],
 )
 def test_ucr_witness_matches_fresh_decision(g):
-    # ucr probes one shared search; a fresh decision at its optimum must
+    # ucr covers on one shared search; a fresh decision at its optimum must
     # report the same canonical witness
     res = uncrossed_crossing_number(g)
     assert res.status == "exact"
@@ -637,6 +666,34 @@ def test_verify_rejects_malformed_structure(k5):
     w = CollectionWitness(drawings=(d, make_drawing(k5, [])), declared_cost=1)
     res = verify_collection(k5, w)
     assert not res.accepted and res.rule == "structure"
+
+
+@pytest.mark.parametrize(
+    "crossings, edge_orders, detail",
+    [
+        (((0, 10),), (), "unknown edge id"),  # K5 has edges 0..9
+        (((0, 7), (7, 0)), (), "duplicate event"),
+        (((0, 7),), ((0, (0,)), (7, (0,)), (8, (0,))), "edge 8 has an order but no events"),
+        (((0, 7), (0, 8)), (), "edge 0 has 2 events but no order"),
+    ],
+    ids=["unknown-edge", "duplicate-pair", "order-of-uncrossed-edge", "missing-order"],
+)
+def test_verify_rejects_each_structure_fault(k5, crossings, edge_orders, detail):
+    assert k5.independent(0, 7) and k5.independent(0, 8)
+    d = DrawingWitness(
+        crossings=tuple(CrossingEvent(e, f) for e, f in crossings), edge_orders=edge_orders
+    )
+    w = CollectionWitness(drawings=(d, make_drawing(k5, [])), declared_cost=1)
+    res = verify_collection(k5, w)
+    assert not res.accepted and res.rule == "structure" and detail in res.detail
+
+
+def test_verify_accepts_omitted_orders_of_once_crossed_edges(k5):
+    # an edge crossed once has one possible order, so a witness may omit it
+    w = decide_uncrossed_cost(k5, 2, 2).witness
+    bare = [DrawingWitness(crossings=d.crossings, edge_orders=()) for d in w.drawings]
+    assert all(d.edge_orders for d in w.drawings)
+    assert verify_collection(k5, CollectionWitness(tuple(bare), w.declared_cost)).accepted
 
 
 def test_witness_permutation_keeps_uncrossed_property(k5):
