@@ -23,7 +23,9 @@ II", J. Symb. Comput. 60, 2014, without search-tree pruning).  The same
 labelling, applied to partial partitions (:class:`PairColours`), lets
 :class:`CoverSearch` skip subtrees equivalent under Aut(G) to an exhausted
 one (isomorph rejection as in McKay, "Isomorph-free exhaustive generation",
-J. Algorithms 26, 1998).
+J. Algorithms 26, 1998).  The search grows each part one edge at a time, so
+the context derives most parts' labellings from their parent's, as in that
+paper's canonical augmentation.
 """
 
 from __future__ import annotations
@@ -233,6 +235,24 @@ class PairColours:
         Vertex colours are refined from G's until they stop splitting; the
         minimum runs over every labelling that keeps the cells in order.
         """
+        found = self._labellings(labels)
+        return None if found is None else min(map(found[0], found[1]))
+
+    def form_and_order(self, labels: dict[int, int]) -> tuple[tuple, tuple] | tuple[None, None]:
+        """:meth:`form` and a vertex order reading it off: entry (i, j) of
+        the form is the pair colour of ``order[i]`` and ``order[j]``.
+        (None, None) where :meth:`form` is None."""
+        found = self._labellings(labels)
+        if found is None:
+            return None, None
+        code, labellings = found
+        order = tuple(itertools.chain.from_iterable(min(labellings, key=code)))
+        return code((order,)), order
+
+    def _labellings(self, labels: dict[int, int]):
+        """(code, labellings) for :meth:`form`: ``code`` reads the labelled
+        pair-colour matrix in the vertex order of one labelling, a tuple of
+        the refined cells each permuted; None where :meth:`form` is."""
         if not self._symmetric:
             return None
         marks: dict[tuple[int, int], int] = {}
@@ -251,7 +271,7 @@ class PairColours:
             pick = operator.itemgetter(*itertools.chain.from_iterable(labelling))
             return tuple(map(pick, pick(mat)))
 
-        return min(map(code, itertools.product(*map(itertools.permutations, cells))))
+        return code, itertools.product(*map(itertools.permutations, cells))
 
     def partition_key(self, parts) -> tuple | None:
         """Canonical key of a partial partition of E(G), or None.
@@ -293,6 +313,12 @@ class RealizabilityContext:
         self.g_pairs = g.skeleton()
         self.orbit_memo: dict[tuple, bool] = {}
         self.colours = PairColours(g)
+        # (form, vertex order) of each part :meth:`feasible` did not answer False
+        self.known: dict[frozenset[int], tuple] = {}
+        # (parent form, positions of the added edge's ends in the parent's
+        # order, its weight) -> (child form, child order as parent positions)
+        self.steps: dict[tuple, tuple] = {}
+        self._pack = bytes if g.n <= 256 else tuple  # vertex orders, compactly
 
     def feasible(self, part: frozenset[int]) -> bool | None:
         """Realizability of ``part`` as True, False or None (unknown).
@@ -301,14 +327,46 @@ class RealizabilityContext:
         the form of G with the part's edges labelled 1.  A part without a
         form is not memoized here (:attr:`CoverSearch.cache` holds it), and
         an unknown never is, so a later member of its orbit asks again.
+        The form of a part one edge larger than a part answered before comes
+        from :attr:`steps` where it can (see :meth:`_form_and_order`).
         """
-        key = self.colours.form(dict.fromkeys(part, 1))
+        key, order = self._form_and_order(part)
         ans = self.orbit_memo.get(key)
         if ans is None:
             ans = _ANSWER[self.realizable(part).status]
             if key is not None and ans is not None:
                 self.orbit_memo[key] = ans
+        if key is not None and ans is not False:
+            self.known[part] = (key, order)
         return ans
+
+    def _form_and_order(self, part: frozenset[int]):
+        """:meth:`PairColours.form_and_order` of ``part`` labelled 1, the
+        order packed; read from :attr:`steps` when ``part - {e}`` is known.
+
+        Canonical augmentation (McKay 1998): the orders of two parents with
+        one form differ by an automorphism of G carrying one parent onto the
+        other.  It carries an edge added at the same order positions, with
+        the same weight, onto the other's, so both children have one form,
+        and the image of one child's order reads it off the other.
+        """
+        for e in part:
+            parent = self.known.get(part - {e})
+            if parent is not None:
+                break
+        else:
+            form, order = self.colours.form_and_order(dict.fromkeys(part, 1))
+            return form, None if form is None else self._pack(order)
+        parent_form, parent_order = parent
+        u, v, w = self.g.edges[e]
+        step = (parent_form, *sorted((parent_order.index(u), parent_order.index(v))), w)
+        child = self.steps.get(step)
+        if child is None:
+            form, order = self.colours.form_and_order(dict.fromkeys(part, 1))
+            moved = None if form is None else self._pack(map(parent_order.index, order))
+            child = self.steps[step] = (form, moved)
+        form, moved = child
+        return form, None if form is None else self._pack(map(parent_order.__getitem__, moved))
 
     # -- cheap necessary conditions ------------------------------------
 
@@ -644,10 +702,12 @@ class CoverSearch:
 
     ``feasible(part)`` must be exact (True / False / None for unknown) and
     closed under subsets; it runs on every partial part, so a part no
-    superset of which is feasible is abandoned at once.  Edges are placed
-    in :func:`dense_first_order`.  ``lower_bound`` is the least part count
-    not yet ruled out by an exhausted level, also after the budget
-    interrupts :meth:`minimum`.
+    superset of which is feasible is abandoned at once.  A part it is
+    asked about is one edge larger than a part it did not answer False, or
+    a single edge, which :meth:`RealizabilityContext.feasible` uses to key
+    it by a one-edge step.  Edges are placed in :func:`dense_first_order`.
+    ``lower_bound`` is the least part count not yet ruled out by an
+    exhausted level, also after the budget interrupts :meth:`minimum`.
 
     With a ``keyer`` (such as :meth:`PairColours.partition_key`),
     :meth:`cover_with` skips every subtree whose partial partition an

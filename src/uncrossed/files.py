@@ -126,6 +126,16 @@ def _number(value) -> int:
     return value
 
 
+def _edge_key(key: str) -> int:
+    """An ``edge_orders`` key, which must read as the decimal that ``str``
+    prints for its edge id: ``int()`` alone would take " +0 " as 0, "1_0"
+    as 10 and non-ASCII digits."""
+    eid = int(key)
+    if str(eid) != key:
+        raise ParseError(f"edge order key {key!r:.40} is not an edge id")
+    return eid
+
+
 def witness_from_document(doc: dict, base_dir=None):
     """Returns (CollectionWitness, WeightedMultigraph).
 
@@ -159,7 +169,7 @@ def witness_from_document(doc: dict, base_dir=None):
             )
             orders = tuple(
                 sorted(
-                    (int(eid), tuple(_number(i) for i in seq))
+                    (_edge_key(eid), tuple(_number(i) for i in seq))
                     for eid, seq in dd.get("edge_orders", {}).items()
                 )
             )

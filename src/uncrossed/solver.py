@@ -314,7 +314,8 @@ class _DrawingSearch:
         # a first drawing crossing an uncovered edge needs a further one,
         # and every drawing costs at least :attr:`floor`
         avoid = frozenset({min(uncovered)})
-        firsts = self.drawings_avoiding(avoid, k_left - self.floor) if c_left > 1 else []
+        fits = c_left > 1 and k_left >= 2 * self.floor
+        firsts = self.drawings_avoiding(avoid, k_left - self.floor) if fits else []
         for cost_d, events, orders, touched in firsts:
             if best is not None and cost_d > best[0]:
                 break  # sorted by cost: nothing cheaper is left

@@ -63,6 +63,30 @@ def _overflowing(field):
     return corrupt
 
 
+def _edge_key(spell):
+    # int() alone reads each spelling as the same edge id, and such a
+    # witness would verify as accept
+    def corrupt(doc):
+        orders = doc["drawings"][0]["edge_orders"]
+        key = next(iter(orders))
+        orders[spell(key)] = orders.pop(key)
+
+    corrupt.__name__ = f"_edge_key_{spell.__name__}"
+    return corrupt
+
+
+def _padded_and_signed(key):
+    return f" +{key} "
+
+
+def _underscored(key):
+    return f"0_{key}"
+
+
+def _arabic_indic(key):
+    return "".join(chr(0x660 + int(d)) for d in key)
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -76,6 +100,9 @@ def _overflowing(field):
         _overflowing("declared_cost"),
         _overflowing("weight"),
         _overflowing("crossing"),
+        _edge_key(_padded_and_signed),
+        _edge_key(_underscored),
+        _edge_key(_arabic_indic),
     ],
 )
 def test_verify_malformed_witness_exits_3(tmp_path, capsys, corrupt):

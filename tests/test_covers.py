@@ -22,6 +22,7 @@ from uncrossed.covers import (
 )
 from uncrossed.instances import complete, complete_bipartite
 from uncrossed.planarity import enumerate_embeddings, graph_planar, skeleton_outerplanar
+from uncrossed.solver import SearchBudget, uncrossed_number
 
 from conftest import atlas_graphs, cycle, edge_id_map, run_python
 
@@ -456,6 +457,74 @@ def test_feasible_matches_fresh_realizable(name, data):
     for part in parts + [q for q in images if q is not None]:
         assert ctx.feasible(part) == _STATUS[RealizabilityContext(g).realizable(part).status]
     assert None not in ctx.orbit_memo.values()
+
+
+def _spy(obj, name: str, seen: list):
+    """Wrap ``obj.name`` on the instance so each result lands in ``seen``."""
+    inner = getattr(obj, name)
+
+    def spy(*args):
+        seen.append(inner(*args))
+        return seen[-1]
+
+    setattr(obj, name, spy)
+
+
+def test_feasible_keys_each_one_edge_step_by_its_form():
+    # parts grown one edge at a time: the key feasible uses, read from the
+    # step table where the smaller part was answered, is the part's form
+    rng = random.Random(11)
+    for name, g in _SYMMETRIC.items():
+        ctx = RealizabilityContext(g)
+        keys, computed = [], []
+        _spy(ctx, "_form_and_order", keys)
+        _spy(ctx.colours, "form_and_order", computed)
+        growths = [rng.sample(range(g.m), g.m) for _ in range(30)]
+        if name == "K4 doubled":
+            # one parent, then the weight-1 and the weight-2 edge of pair
+            # 01: equal positions in the parent's order, unequal forms
+            light, heavy = (
+                next(e for e, (u, v, w) in enumerate(g.edges) if {u, v} == {0, 1} and w == weight)
+                for weight in (1, 2)
+            )
+            rim = next(e for e, (u, v, w) in enumerate(g.edges) if {u, v} == {2, 3} and w == 1)
+            growths[:0] = [[rim, light], [rim, heavy]]
+        for growth in growths:
+            for size in range(1, len(growth) + 1):
+                part = frozenset(growth[:size])
+                fresh = _STATUS[RealizabilityContext(g).realizable(part).status]
+                assert ctx.feasible(part) == fresh, (name, sorted(part))
+                assert keys[-1][0] == ctx.colours.form(dict.fromkeys(part, 1)), (name, growth, size)
+                if fresh is False:
+                    break  # as in the cover search, which extends no such part
+        assert len(computed) < len(keys), name  # some keys came from steps
+
+
+def test_unc_prefix_computes_few_forms(k7, monkeypatch):
+    # the 2,000-node unc(K7) prefix asks feasible 3,979 times; one-edge
+    # steps leave few full forms and keep every orbit-memo key and answer
+    contexts, asked, computed = [], [], []
+    feasible = RealizabilityContext.feasible
+    form_and_order = PairColours.form_and_order
+
+    def count_feasible(self, part):
+        contexts.append(self)
+        asked.append(part)
+        return feasible(self, part)
+
+    def count_forms(self, labels):
+        computed.append(labels)
+        return form_and_order(self, labels)
+
+    monkeypatch.setattr(RealizabilityContext, "feasible", count_feasible)
+    monkeypatch.setattr(PairColours, "form_and_order", count_forms)
+    out = uncrossed_number(k7, SearchBudget(max_nodes=2000))
+    assert (out.status, out.nodes, out.sets_tested) == ("unknown", 2001, 3979)
+    assert len(asked) == 3979 and len(computed) < len(asked) / 4
+    ctx = contexts[0]
+    assert len(ctx.orbit_memo) == 257
+    forms = {ctx.colours.form(dict.fromkeys(part, 1)) for part in asked}
+    assert set(ctx.orbit_memo) <= forms
 
 
 def test_trivial_automorphism_group_builds_no_key():

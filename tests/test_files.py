@@ -127,3 +127,14 @@ def test_deeply_nested_witness_file_is_a_parse_error(tmp_path):
     path.write_text("[" * 100_000)
     with pytest.raises(ParseError):
         load_witness(path)
+
+
+@pytest.mark.parametrize("key", [" +0 ", "1_0", "٠", "00", "0.0"])
+def test_edge_order_keys_must_be_plain_decimals(k5, key):
+    # int() would read " +0 " and "٠" (an Arabic-Indic zero) as edge 0
+    # and "1_0" as edge 10
+    doc = witness_to_document(decide_uncrossed_cost(k5, 2, 2).witness, graph=k5)
+    orders = doc["drawings"][0]["edge_orders"]
+    orders[key] = orders.pop(next(iter(orders)))
+    with pytest.raises(ParseError):
+        witness_from_document(doc)
