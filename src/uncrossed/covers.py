@@ -188,9 +188,9 @@ class PairColours:
     A labelling maps edge ids to positive labels; every other edge has
     label 0.  A vertex pair is coloured by the sorted (weight, label) tuple
     over its parallel edges, stored as n times an id fixed for this object
-    (no edge is id 0), so two labellings get equal :meth:`form` exactly when
-    some vertex permutation keeping every pair colour of G maps one onto
-    the other.  :meth:`form` alone decides when there is no key.
+    (no edge is id 0), so two labellings get equal forms exactly when some
+    vertex permutation keeping every pair colour of G maps one onto the
+    other.  :meth:`form` alone decides when there is no key.
     """
 
     def __init__(self, g: WeightedMultigraph):
@@ -227,32 +227,16 @@ class PairColours:
             mat[u][v] = mat[v][u] = colour
         return mat
 
-    def form(self, labels: dict[int, int]) -> tuple | None:
-        """Least pair-colour matrix of the labelled G, or None when Aut(G)
-        is trivial (no other labelling can be equivalent) or the refined
-        cells allow more than :data:`MAX_LABELLINGS` labellings.
+    def form(self, labels: dict[int, int]) -> tuple[tuple, tuple] | None:
+        """(form, order): the least pair-colour matrix of the labelled G and
+        a vertex order reading it off, so entry (i, j) of the form is the
+        pair colour of ``order[i]`` and ``order[j]``.  None when Aut(G) is
+        trivial (no other labelling can be equivalent) or the refined cells
+        allow more than :data:`MAX_LABELLINGS` labellings.
 
         Vertex colours are refined from G's until they stop splitting; the
         minimum runs over every labelling that keeps the cells in order.
         """
-        found = self._labellings(labels)
-        return None if found is None else min(map(found[0], found[1]))
-
-    def form_and_order(self, labels: dict[int, int]) -> tuple[tuple, tuple] | tuple[None, None]:
-        """:meth:`form` and a vertex order reading it off: entry (i, j) of
-        the form is the pair colour of ``order[i]`` and ``order[j]``.
-        (None, None) where :meth:`form` is None."""
-        found = self._labellings(labels)
-        if found is None:
-            return None, None
-        code, labellings = found
-        order = tuple(itertools.chain.from_iterable(min(labellings, key=code)))
-        return code((order,)), order
-
-    def _labellings(self, labels: dict[int, int]):
-        """(code, labellings) for :meth:`form`: ``code`` reads the labelled
-        pair-colour matrix in the vertex order of one labelling, a tuple of
-        the refined cells each permuted; None where :meth:`form` is."""
         if not self._symmetric:
             return None
         marks: dict[tuple[int, int], int] = {}
@@ -271,7 +255,9 @@ class PairColours:
             pick = operator.itemgetter(*itertools.chain.from_iterable(labelling))
             return tuple(map(pick, pick(mat)))
 
-        return code, itertools.product(*map(itertools.permutations, cells))
+        labellings = itertools.product(*map(itertools.permutations, cells))
+        order = tuple(itertools.chain.from_iterable(min(labellings, key=code)))
+        return code((order,)), order
 
     def partition_key(self, parts) -> tuple | None:
         """Canonical key of a partial partition of E(G), or None.
@@ -286,10 +272,10 @@ class PairColours:
         forms = []
         for order in itertools.product(*map(itertools.permutations, groups)):
             numbered = enumerate(itertools.chain.from_iterable(order), 1)
-            form = self.form({e: label for label, part in numbered for e in part})
-            if form is None:
+            found = self.form({e: label for label, part in numbered for e in part})
+            if found is None:
                 return None
-            forms.append(form)
+            forms.append(found[0])
         return min(forms)
 
 
@@ -328,21 +314,22 @@ class RealizabilityContext:
         form is not memoized here (:attr:`CoverSearch.cache` holds it), and
         an unknown never is, so a later member of its orbit asks again.
         The form of a part one edge larger than a part answered before comes
-        from :attr:`steps` where it can (see :meth:`_form_and_order`).
+        from :attr:`steps` where it can (see :meth:`_form`).
         """
-        key, order = self._form_and_order(part)
+        found = self._form(part)
+        key = None if found is None else found[0]
         ans = self.orbit_memo.get(key)
         if ans is None:
             ans = _ANSWER[self.realizable(part).status]
             if key is not None and ans is not None:
                 self.orbit_memo[key] = ans
         if key is not None and ans is not False:
-            self.known[part] = (key, order)
+            self.known[part] = found
         return ans
 
-    def _form_and_order(self, part: frozenset[int]):
-        """:meth:`PairColours.form_and_order` of ``part`` labelled 1, the
-        order packed; read from :attr:`steps` when ``part - {e}`` is known.
+    def _form(self, part: frozenset[int]):
+        """:meth:`PairColours.form` of ``part`` labelled 1 with the order
+        packed, or None; read from :attr:`steps` when ``part - {e}`` is known.
 
         Canonical augmentation (McKay 1998): the orders of two parents with
         one form differ by an automorphism of G carrying one parent onto the
@@ -350,23 +337,26 @@ class RealizabilityContext:
         the same weight, onto the other's, so both children have one form,
         and the image of one child's order reads it off the other.
         """
+        parent_order = step = None
         for e in part:
             parent = self.known.get(part - {e})
             if parent is not None:
+                parent_form, parent_order = parent
+                u, v, w = self.g.edges[e]
+                step = (parent_form, *sorted((parent_order.index(u), parent_order.index(v))), w)
                 break
-        else:
-            form, order = self.colours.form_and_order(dict.fromkeys(part, 1))
-            return form, None if form is None else self._pack(order)
-        parent_form, parent_order = parent
-        u, v, w = self.g.edges[e]
-        step = (parent_form, *sorted((parent_order.index(u), parent_order.index(v))), w)
-        child = self.steps.get(step)
-        if child is None:
-            form, order = self.colours.form_and_order(dict.fromkeys(part, 1))
-            moved = None if form is None else self._pack(map(parent_order.index, order))
-            child = self.steps[step] = (form, moved)
-        form, moved = child
-        return form, None if form is None else self._pack(map(parent_order.__getitem__, moved))
+        if step not in self.steps:
+            found = self.colours.form(dict.fromkeys(part, 1))
+            if found is not None:
+                form, order = found
+                found = form, self._pack(order if step is None else map(parent_order.index, order))
+            if step is None:
+                return found
+            self.steps[step] = found  # the child's order as positions in the parent's
+        found = self.steps[step]
+        if found is None:
+            return None
+        return found[0], self._pack(map(parent_order.__getitem__, found[1]))
 
     # -- cheap necessary conditions ------------------------------------
 
@@ -707,7 +697,8 @@ class CoverSearch:
     a single edge, which :meth:`RealizabilityContext.feasible` uses to key
     it by a one-edge step.  Edges are placed in :func:`dense_first_order`.
     ``lower_bound`` is the least part count not yet ruled out by an
-    exhausted level, also after the budget interrupts :meth:`minimum`.
+    exhausted level, also after the budget interrupts :meth:`minimum` or
+    the DFS, one frame per placed edge, outgrows the recursion limit.
 
     With a ``keyer`` (such as :meth:`PairColours.partition_key`),
     :meth:`cover_with` skips every subtree whose partial partition an
@@ -769,15 +760,8 @@ class CoverSearch:
             if key is not None and key in exhausted:
                 return None
             unknowns = self.unknowns
-            got = branch(depth)
-            if got is None and key is not None and self.unknowns == unknowns:
-                exhausted.add(key)
-            return got
-
-        def branch(depth: int):
             eid = order[depth]
-            limit = min(len(parts) + 1, c)
-            for i in range(limit):
+            for i in range(min(len(parts) + 1, c)):
                 opened = i == len(parts)
                 if opened:
                     parts.append(set())
@@ -789,13 +773,15 @@ class CoverSearch:
                 parts[i].discard(eid)
                 if opened:
                     parts.pop()
+            if key is not None and self.unknowns == unknowns:
+                exhausted.add(key)
             return None
 
         return place(0)
 
     def minimum(self) -> CoverResult:
         """Least part count, or "unknown" with the proven lower bound once
-        the budget's node limit or wall clock runs out."""
+        the budget's node limit or wall clock or the recursion limit runs out."""
         try:
             for c in range(1, max(1, self.g.m) + 1):
                 got = self.cover_with(c)
@@ -805,6 +791,6 @@ class CoverSearch:
                     return CoverResult("unknown", None, self.lower_bound, c, got)
                 if not self.unknowns:
                     self.lower_bound = c + 1
-        except BudgetExhausted:
+        except (BudgetExhausted, RecursionError):
             pass
         return CoverResult("unknown", None, self.lower_bound, None, None)

@@ -60,6 +60,18 @@ def test_every_import_is_used():
         assert imported - read - exported == set(), path.name
 
 
+def test_no_module_sets_the_recursion_limit():
+    # the limit is process-global state: a search deeper than it ends unknown
+    package = pathlib.Path(uncrossed.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        names = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        assert "setrecursionlimit" not in names, path.name
+
+
 def _private_definitions(tree):
     """Top-level functions and classes, and their methods, named _x but not __x__."""
     for node in tree.body:

@@ -202,6 +202,14 @@ def test_solve_modes(tmp_path, capsys):
     assert code == 0 and kv["outerthickness"] == "2"
 
 
+def test_thickness_of_a_large_hex_grid(tmp_path, capsys):
+    # 552 edges: the cover search places them one stack frame each
+    grid = str(tmp_path / "hex8.txt")
+    run(capsys, "gen", "hex-grid", "8", "--out", grid)
+    code, kv = run(capsys, "solve", "--mode", "thickness", "--input", grid)
+    assert code == 0 and kv["thickness"] == "1"
+
+
 def test_gen_families(tmp_path, capsys):
     code, kv = run(capsys, "gen", "heavy-cycle", "3", "--out", str(tmp_path / "g.txt"))
     assert code == 0

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import sys
 import time
 from collections import Counter
 
@@ -203,6 +204,17 @@ def test_cover_minimum_on_edgeless_graph():
     assert out.status == "exact" and out.value == 1
 
 
+@pytest.mark.parametrize("m, status, value", [(700, "exact", 1), (1200, "unknown", None)])
+def test_cover_search_deeper_than_the_recursion_limit_is_unknown(m, status, value):
+    # one frame per placed edge: 700 edges fit under the default limit of
+    # 1,000, and 1,200 end unknown with the bound proven so far
+    limit = sys.getrecursionlimit()
+    path = WeightedMultigraph(m + 1, tuple((i, i + 1, 1) for i in range(m)))
+    out = CoverSearch(path, lambda part: True).minimum()
+    assert (out.status, out.value, out.lower_bound) == (status, value, 1)
+    assert sys.getrecursionlimit() == limit
+
+
 def _restricted_growth_strings(m: int, c: int, prefix=()):
     """Every partition of m ordered items into at most c blocks, as block
     indices in lexicographic order; a block opens only after the ones
@@ -306,19 +318,31 @@ def _pair_colours(g, labels) -> dict:
     return {pair: tuple(sorted(c)) for pair, c in colours.items()}
 
 
-def _brute_form(g, labels) -> tuple:
-    """Least relabelled pair colouring over all n! vertex permutations."""
+def _automorphisms(g) -> list:
+    """Vertex permutations keeping every pair colour of G, by brute force
+    over all n!.  Only these can map one labelled colouring of G onto
+    another, since a pair's labelled colour holds its unlabelled one."""
+    colours = _pair_colours(g, {})
+    return [
+        p
+        for p in itertools.permutations(range(g.n))
+        if all(colours.get((min(p[u], p[v]), max(p[u], p[v]))) == c for (u, v), c in colours.items())
+    ]
+
+
+def _brute_form(g, labels, automorphisms) -> tuple:
+    """Least relabelled pair colouring over ``automorphisms`` of G."""
     colours = _pair_colours(g, labels).items()
     return min(
         tuple(sorted((min(p[u], p[v]), max(p[u], p[v]), c) for (u, v), c in colours))
-        for p in itertools.permutations(range(g.n))
+        for p in automorphisms
     )
 
 
-def _brute_partition_form(g, parts) -> tuple:
+def _brute_partition_form(g, parts, automorphisms) -> tuple:
     """Least :func:`_brute_form` over every numbering of the parts."""
     return min(
-        _brute_form(g, {e: label for label, part in zip(order, parts) for e in part})
+        _brute_form(g, {e: label for label, part in zip(order, parts) for e in part}, automorphisms)
         for order in itertools.permutations(range(1, len(parts) + 1))
     )
 
@@ -342,17 +366,18 @@ def _image(g, part, perm):
 
 def test_orbit_key_is_exact_on_small_graphs():
     # equal keys exactly when some permutation keeping every pair colour
-    # maps one part onto the other, checked over all n! permutations
+    # maps one part onto the other, found among all n! permutations
     rng = random.Random(3)
     for name, g in _SYMMETRIC.items():
         if g.m <= 9:
             parts = [frozenset(s) for r in range(g.m + 1) for s in itertools.combinations(range(g.m), r)]
         else:
             parts = [frozenset(rng.sample(range(g.m), rng.randint(0, g.m))) for _ in range(150)]
-        colours = PairColours(g)
-        keys = [colours.form(dict.fromkeys(p, 1)) for p in parts]
-        forms = [_brute_form(g, dict.fromkeys(p, 1)) for p in parts]
-        assert None not in keys, name  # no part hit the labelling bound
+        colours, automorphisms = PairColours(g), _automorphisms(g)
+        found = [colours.form(dict.fromkeys(p, 1)) for p in parts]
+        assert None not in found, name  # no part hit the labelling bound
+        keys = [key for key, _ in found]
+        forms = [_brute_form(g, dict.fromkeys(p, 1), automorphisms) for p in parts]
         assert len(set(keys)) == len(set(forms)) == len(set(zip(keys, forms))), name
 
 
@@ -376,9 +401,9 @@ def test_partition_key_is_exact_on_small_graphs():
             images = [_image(g, p, perm) for p in parts]
             if None not in images:
                 partitions.append(rng.sample(images, len(images)))
-        colours = PairColours(g)
+        colours, automorphisms = PairColours(g), _automorphisms(g)
         keys = [colours.partition_key(p) for p in partitions]
-        forms = [_brute_partition_form(g, p) for p in partitions]
+        forms = [_brute_partition_form(g, p, automorphisms) for p in partitions]
         assert None not in keys, name
         assert len(set(keys)) == len(set(forms)) == len(set(zip(keys, forms))), name
         assert len(set(keys)) < len(keys), name  # some images were found
@@ -476,9 +501,10 @@ def test_feasible_keys_each_one_edge_step_by_its_form():
     rng = random.Random(11)
     for name, g in _SYMMETRIC.items():
         ctx = RealizabilityContext(g)
+        form = ctx.colours.form  # unwrapped: the check below counts no form
         keys, computed = [], []
-        _spy(ctx, "_form_and_order", keys)
-        _spy(ctx.colours, "form_and_order", computed)
+        _spy(ctx, "_form", keys)
+        _spy(ctx.colours, "form", computed)
         growths = [rng.sample(range(g.m), g.m) for _ in range(30)]
         if name == "K4 doubled":
             # one parent, then the weight-1 and the weight-2 edge of pair
@@ -494,7 +520,7 @@ def test_feasible_keys_each_one_edge_step_by_its_form():
                 part = frozenset(growth[:size])
                 fresh = _STATUS[RealizabilityContext(g).realizable(part).status]
                 assert ctx.feasible(part) == fresh, (name, sorted(part))
-                assert keys[-1][0] == ctx.colours.form(dict.fromkeys(part, 1)), (name, growth, size)
+                assert keys[-1][0] == form(dict.fromkeys(part, 1))[0], (name, growth, size)
                 if fresh is False:
                     break  # as in the cover search, which extends no such part
         assert len(computed) < len(keys), name  # some keys came from steps
@@ -505,7 +531,7 @@ def test_unc_prefix_computes_few_forms(k7, monkeypatch):
     # steps leave few full forms and keep every orbit-memo key and answer
     contexts, asked, computed = [], [], []
     feasible = RealizabilityContext.feasible
-    form_and_order = PairColours.form_and_order
+    form = PairColours.form
 
     def count_feasible(self, part):
         contexts.append(self)
@@ -514,16 +540,16 @@ def test_unc_prefix_computes_few_forms(k7, monkeypatch):
 
     def count_forms(self, labels):
         computed.append(labels)
-        return form_and_order(self, labels)
+        return form(self, labels)
 
     monkeypatch.setattr(RealizabilityContext, "feasible", count_feasible)
-    monkeypatch.setattr(PairColours, "form_and_order", count_forms)
+    monkeypatch.setattr(PairColours, "form", count_forms)
     out = uncrossed_number(k7, SearchBudget(max_nodes=2000))
     assert (out.status, out.nodes, out.sets_tested) == ("unknown", 2001, 3979)
     assert len(asked) == 3979 and len(computed) < len(asked) / 4
     ctx = contexts[0]
     assert len(ctx.orbit_memo) == 257
-    forms = {ctx.colours.form(dict.fromkeys(part, 1)) for part in asked}
+    forms = {form(ctx.colours, dict.fromkeys(part, 1))[0] for part in asked}
     assert set(ctx.orbit_memo) <= forms
 
 
