@@ -55,7 +55,7 @@ def outerthickness(g: WeightedMultigraph, budget: SearchBudget = NO_BUDGET) -> C
     """
 
     def outerplanar_part(part: frozenset[int]) -> bool:
-        return skeleton_outerplanar(g.skeleton(part), g.n)
+        return skeleton_outerplanar(g.skeleton(part))
 
     return CoverSearch(g, outerplanar_part, budget, PairColours(g).partition_key).minimum()
 

@@ -5,9 +5,9 @@ Commands: ``gen`` (instance generators), ``solve`` (exact solvers),
 and ``render`` (SVG output).  Results print as stable ``key=value`` lines.
 
 Exit codes: 0 success / yes / accept, 1 no / reject, 2 unknown (budget
-exhausted), 3 usage or parse errors and unusable file paths.  A command
-whose standard output is closed early (``| head -1``) ends quietly with
-exit 1, as the Python documentation advises for a broken pipe.  The
+or memory exhausted), 3 usage or parse errors and unusable file paths.  A
+command whose standard output is closed early (``| head -1``) ends quietly
+with exit 1, as the Python documentation advises for a broken pipe.  The
 environment variable ``UNCROSSED_BUDGET`` supplies a default wall-clock
 budget in seconds.
 """
@@ -46,9 +46,6 @@ EXIT_NO = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
 
-_TABLE = False
-
-
 class _CliParser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -58,8 +55,8 @@ class UsageError(Exception):
     pass
 
 
-def _emit(key, value):
-    if _TABLE:
+def _emit(args, key, value):
+    if args.table:
         print(f"{str(key) + ':':<24} {value}")
     else:
         print(f"{key}={value}")
@@ -124,14 +121,14 @@ def _cmd_gen(args) -> int:
             g, cert = instances.hex_grid(r)
             rings = ",".join(str(len(ring)) for ring in cert.rings)
             if args.out:
-                _emit("rings", rings)
+                _emit(args, "rings", rings)
             else:  # a comment line, so the graph on stdout still parses
                 sys.stdout.write(f"# rings={rings}\n")
     except ValueError:
         raise UsageError(f"wrong number of parameters for {fam}") from None
     if args.out:
         save_graph(args.out, g)
-        _emit("written", args.out)
+        _emit(args, "written", args.out)
     else:
         sys.stdout.write(serialize_graph(g))
     return EXIT_OK
@@ -164,7 +161,7 @@ def _cmd_solve(args) -> int:
         save_witness(args.witness, witness_to_document(witness, graph=g, mode=mode_info))
         lines.append(("witness", args.witness))
     for key, value in lines:
-        _emit(key, value)
+        _emit(args, key, value)
     return code
 
 
@@ -228,10 +225,10 @@ def _cmd_verify(args) -> int:
     if witness_graph != g:
         raise UsageError("the witness is for a different graph than --input")
     res = verify_collection(g, witness)
-    _emit("verdict", "accept" if res.accepted else "reject")
+    _emit(args, "verdict", "accept" if res.accepted else "reject")
     if not res.accepted:
-        _emit("rule", res.rule)
-        _emit("detail", res.detail)
+        _emit(args, "rule", res.rule)
+        _emit(args, "detail", res.detail)
         return EXIT_NO
     return EXIT_OK
 
@@ -240,24 +237,24 @@ def _cmd_bounds(args) -> int:
     g = load_graph(args.input)
     report = bounds_mod.ucr_lower_bound(g)
     for entry in report.entries:
-        _emit(f"{entry.name}_applicable", str(entry.applicable).lower())
+        _emit(args, f"{entry.name}_applicable", str(entry.applicable).lower())
         if entry.applicable:
-            _emit(entry.name, entry.rounded)
-            _emit(f"{entry.name}_exact", entry.exact)
+            _emit(args, entry.name, entry.rounded)
+            _emit(args, f"{entry.name}_exact", entry.exact)
     n = g.n
     if n >= 5 and g.m == n * (n - 1) // 2 and len(g.skeleton()) == g.m:
         kb = bounds_mod.kn_bounds(n)
-        _emit("kn_refined_upper", kb.refined_upper_exact)
-        _emit("kn_coarse_upper", kb.coarse_upper_exact)
-        _emit("kn_upper_int", kb.upper_int)
+        _emit(args, "kn_refined_upper", kb.refined_upper_exact)
+        _emit(args, "kn_coarse_upper", kb.coarse_upper_exact)
+        _emit(args, "kn_upper_int", kb.upper_int)
     return EXIT_OK
 
 
 def _cmd_render(args) -> int:
     witness, g = load_witness(args.witness)
     paths = render_collection(g, witness, args.out)
-    _emit("drawings", len(paths))
-    _emit("out", args.out)
+    _emit(args, "drawings", len(paths))
+    _emit(args, "out", args.out)
     return EXIT_OK
 
 
@@ -271,11 +268,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    global _TABLE
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _TABLE = args.table
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a reader that went away shows up here, not at exit
         return code
@@ -288,6 +283,9 @@ def main(argv=None) -> int:
         # OSError: a path that is missing, a directory, or an existing file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:  # the answer is unknown, not "no"
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_UNKNOWN
 
 
 if __name__ == "__main__":

@@ -437,23 +437,30 @@ class RealizabilityContext:
     # -- the decision ----------------------------------------------------
 
     def realizable(self, edge_ids, want_certificate: bool = False) -> RealizabilityResult:
+        """Whether some drawing of G leaves the edges ``edge_ids`` uncrossed.
+
+        Cheap tests first: (V, S) planar, then outerplanar (yes outright,
+        unless a certificate is wanted), then every pair inside one
+        component insertable.  Then each component's :meth:`profiles` host
+        its inside pairs, and :func:`_arrange_components` looks for one
+        choice per component and a nesting that meets the :func:`_needs`
+        of the pairs between components and of the isolated vertices.
+        "unknown" means the rotation budget ran out.
+        """
         g = self.g
         s = frozenset(edge_ids)
         skel = g.skeleton(s)
         if not skeleton_planar(skel):
             return RealizabilityResult("no")
-        if not want_certificate and skeleton_outerplanar(skel, g.n):
+        if not want_certificate and skeleton_outerplanar(skel):
             return RealizabilityResult("yes")
         pairs = sorted(self.g_pairs - skel)
         comps, isolated = g.components(s)
-        comp_of = {}
-        for ci, (vs, _) in enumerate(comps):
-            for v in vs:
-                comp_of[v] = ci
+        comp_of = {v: ci for ci, (vs, _) in enumerate(comps) for v in vs}
         if not self.pairs_insertable(skel, pairs, comp_of):
             return RealizabilityResult("no")
 
-        within: dict[int, list[tuple[int, int]]] = {ci: [] for ci in range(len(comps))}
+        within: list[list[tuple[int, int]]] = [[] for _ in comps]
         cross: list[tuple[int, int]] = []
         for u, v in pairs:
             cu, cv = comp_of.get(u), comp_of.get(v)
@@ -461,27 +468,22 @@ class RealizabilityContext:
                 within[cu].append((u, v))
             else:
                 cross.append((u, v))
-        groups, group_req, hard_cross = _iso_groups(g.n, cross, isolated)
 
-        profiles: dict[int, list] = {}
-        for ci, (vs, es) in enumerate(comps):
-            found = self.profiles(vs, es, within[ci])
+        profiles = []
+        for (vs, es), inside in zip(comps, within):
+            found = self.profiles(vs, es, inside)
             if found is None:
                 return RealizabilityResult("unknown")
             if not found:
                 return RealizabilityResult("no")
-            profiles[ci] = found
+            profiles.append(found)
 
-        solution = _arrange_components(
-            list(range(len(comps))), profiles, hard_cross, groups, group_req
-        )
+        solution = _arrange_components(profiles, _needs(g.n, cross, isolated))
         if solution is None:
             return RealizabilityResult("no")
         if not want_certificate:
             return RealizabilityResult("yes")
-        chosen, shown, parents, iso_placement = solution
-        cert = _build_certificate(self, s, comps, chosen, shown, parents, iso_placement)
-        return RealizabilityResult("yes", cert)
+        return RealizabilityResult("yes", _build_certificate(g, s, comps, *solution))
 
 
 def realizable_uncrossed_set(
@@ -502,95 +504,72 @@ def realizable_uncrossed_set(
     return RealizabilityContext(g).realizable(ids, want_certificate=want_certificate)
 
 
-def _iso_groups(n, cross, isolated):
-    """Group isolated vertices forced into one region, with their needs.
+def _needs(n, cross, isolated):
+    """The regions the arrangement must provide, as one list.
 
-    Returns (groups: root vertex -> member vertices, group_req: root -> set
-    of component vertices one region boundary must contain, remaining cross
-    pairs between nontrivial components).
+    Each need is (vertex set, isolated vertices placed with it): some region
+    must hold the set, and the members are drawn in the first one that does.
+    A pair joining two components is a need with no members.  Isolated
+    vertices that pairs join, directly or through each other, must share a
+    region: they are one need, whose set is every component vertex paired
+    with a member.  Cross pairs come first.
     """
-    iso_set = set(isolated)
-    iso_partner: dict[int, set[int]] = {v: set() for v in isolated}
-    same_region: list[tuple[int, int]] = []
-    hard_cross: list[tuple[int, int]] = []
+    partners: dict[int, set[int]] = {v: set() for v in isolated}
+    same_region = []
+    needs = []
     for u, v in cross:
-        u_iso, v_iso = u in iso_set, v in iso_set
-        if u_iso and v_iso:
-            same_region.append((u, v))
-        elif u_iso:
-            iso_partner[u].add(v)
-        elif v_iso:
-            iso_partner[v].add(u)
+        if u in partners and v in partners:
+            same_region.append((u, v, 1))
+        elif u in partners:
+            partners[u].add(v)
+        elif v in partners:
+            partners[v].add(u)
         else:
-            hard_cross.append((u, v))
-
-    joined, alone = WeightedMultigraph(n, tuple((a, b, 1) for a, b in same_region)).components()
-    groups = {vs[0]: list(vs) for vs, _ in joined}
-    groups.update((v, [v]) for v in alone if v in iso_set)
-    group_req = {
-        root: set().union(*(iso_partner[v] for v in members))
-        for root, members in groups.items()
-    }
-    return groups, group_req, hard_cross
+            needs.append(({u, v}, ()))
+    joined, alone = WeightedMultigraph(n, tuple(same_region)).components()
+    groups = [vs for vs, _ in joined] + [[v] for v in alone if v in partners]
+    needs.extend((set().union(*map(partners.get, members)), members) for members in groups)
+    return needs
 
 
-def _arrange_components(nontrivial, profiles, hard_cross, groups, group_req):
-    """Search shown faces and nestings hosting every cross-component pair.
+def _arrange_components(profiles, needs):
+    """Search rotations, shown faces and nestings that meet every need.
 
-    Returns (profile per comp, shown face index per comp, parent per comp,
-    isolated-vertex placements) or None.  A parent of None is the unbounded
-    region; ``(comp, face)`` is an inner face of that component.  Any
-    number of components works, zero and one included.
+    ``profiles`` lists each component's entries of
+    :meth:`RealizabilityContext.profiles`.  Returns (entry, shown face index
+    and parent per component, region of each isolated vertex) for the first
+    arrangement found, or None.  A parent or region of None is the
+    unbounded region; ``(comp, face)`` is an inner face of that component.
+    Any number of components works, zero and one included.
     """
-    for combo in itertools.product(*(range(len(profiles[ci])) for ci in nontrivial)):
-        chosen = {ci: profiles[ci][idx] for ci, idx in zip(nontrivial, combo)}
-        faces_of = {ci: chosen[ci][1] for ci in nontrivial}
-        for shown_combo in itertools.product(
-            *(range(len(faces_of[ci])) for ci in nontrivial)
-        ):
-            shown = dict(zip(nontrivial, shown_combo))
-            slot_lists = []
-            for ci in nontrivial:
-                slots: list = [None]
-                for cj in nontrivial:
-                    if cj == ci:
-                        continue
-                    slots.extend(
-                        (cj, fi)
-                        for fi in range(len(faces_of[cj]))
-                        if fi != shown[cj]
-                    )
-                slot_lists.append(slots)
-            for parent_combo in itertools.product(*slot_lists):
-                parents = dict(zip(nontrivial, parent_combo))
+    for chosen in itertools.product(*profiles):
+        faces_of = [faces for _, faces in chosen]
+        for shown in itertools.product(*(range(len(faces)) for faces in faces_of)):
+            slot_lists = [
+                [None] + [
+                    (cj, fi)
+                    for cj, faces in enumerate(faces_of) if cj != ci
+                    for fi in range(len(faces)) if fi != shown[cj]
+                ]
+                for ci in range(len(faces_of))
+            ]
+            for parents in itertools.product(*slot_lists):
                 if not _parents_acyclic(parents):
                     continue
-                regions = _regions(nontrivial, faces_of, shown, parents)
-                if not all(
-                    any(u in verts and v in verts for _, verts in regions)
-                    for u, v in hard_cross
-                ):
-                    continue
-                iso_placement = {}
-                ok = True
-                for root, members in groups.items():
-                    home = next(
-                        (key for key, verts in regions if group_req[root] <= verts),
-                        "none",
-                    )
-                    if home == "none":
-                        ok = False
+                regions = _regions(faces_of, shown, parents)
+                placement = {}
+                for verts, members in needs:
+                    home = next((key for key, region in regions if verts <= region), False)
+                    if home is False:
                         break
-                    for w in members:
-                        iso_placement[w] = home
-                if ok:
-                    return chosen, shown, parents, iso_placement
+                    placement.update(dict.fromkeys(members, home))
+                else:
+                    return chosen, shown, parents, placement
     return None
 
 
-def _parents_acyclic(parents: dict) -> bool:
-    for start in parents:
-        cur = parents[start]
+def _parents_acyclic(parents: tuple) -> bool:
+    for cur in parents:
         steps = 0
         while cur is not None:
             steps += 1
@@ -600,34 +579,24 @@ def _parents_acyclic(parents: dict) -> bool:
     return True
 
 
-def _regions(nontrivial, faces_of, shown, parents):
-    """(key, vertexset) per region; key None is the unbounded region."""
-    out = []
-    root_verts = set()
-    for ci in nontrivial:
-        if parents[ci] is None:
-            root_verts |= faces_of[ci][shown[ci]][1]
-    out.append((None, root_verts))
-    for cj in nontrivial:
-        for fi in range(len(faces_of[cj])):
-            if fi == shown[cj]:
-                continue
-            verts = set(faces_of[cj][fi][1])
-            for ci in nontrivial:
-                if parents[ci] == (cj, fi):
-                    verts |= faces_of[ci][shown[ci]][1]
-            out.append(((cj, fi), verts))
+def _regions(faces_of, shown, parents):
+    """(key, vertex set) per region; key None is the unbounded region."""
+    out = [(None, set())]
+    for cj, faces in enumerate(faces_of):
+        out += [((cj, fi), set(verts)) for fi, (_, verts) in enumerate(faces) if fi != shown[cj]]
+    region = dict(out)  # the same sets, by key
+    for ci, parent in enumerate(parents):
+        region[parent] |= faces_of[ci][shown[ci]][1]
     return out
 
 
-def _build_certificate(ctx, s, comps, chosen, shown, parents, iso_placement):
+def _build_certificate(g, s, comps, chosen, shown, parents, placement):
     """Assemble the (V, S) Embedding and per-edge hosting faces.
 
     ``chosen`` carries rotations in original dart ids; the certificate's
     embedding lives on the renumbered spanning subgraph, so darts are
     translated on the way.
     """
-    g = ctx.g
     kept = sorted(s)
     sub = g.spanning_subgraph(kept)
     new_id = {orig: i for i, orig in enumerate(kept)}
@@ -636,7 +605,7 @@ def _build_certificate(ctx, s, comps, chosen, shown, parents, iso_placement):
         return 2 * new_id[d >> 1] + (d & 1)
 
     rotation: list[tuple[int, ...]] = [() for _ in range(sub.n)]
-    for ci, (succ, _) in chosen.items():
+    for ci, (succ, _) in enumerate(chosen):
         for v, cycle in rotation_from_succ(g, *comps[ci], succ).items():
             rotation[v] = tuple(tr(d) for d in cycle)
 
@@ -653,7 +622,7 @@ def _build_certificate(ctx, s, comps, chosen, shown, parents, iso_placement):
             parent = parents[ci]
         else:
             outer_choice.append(0)
-            parent = iso_placement[vs[0]]
+            parent = placement[vs[0]]
         parent_list.append(None if parent is None else (slot_of[parent[0]], parent[1]))
     emb = build_embedding(sub, tuple(rotation), tuple(outer_choice), tuple(parent_list))
 

@@ -49,13 +49,13 @@ def graph_planar(g: WeightedMultigraph) -> bool:
     return skeleton_planar(g.skeleton())
 
 
-def skeleton_outerplanar(skeleton: frozenset[tuple[int, int]], apex: int) -> bool:
-    """Outerplanarity of a simple graph whose vertex ids are below ``apex``.
+def skeleton_outerplanar(skeleton: frozenset[tuple[int, int]]) -> bool:
+    """Outerplanarity of a simple graph on vertex ids >= 0.
 
-    Decided as planarity of the graph plus vertex ``apex`` joined to every
-    vertex an edge touches (vertices no edge touches are irrelevant).
+    Decided as planarity of the graph plus an apex, labelled -1, joined to
+    every vertex an edge touches (vertices no edge touches are irrelevant).
     """
-    return skeleton_planar(skeleton | {(v, apex) for p in skeleton for v in p})
+    return skeleton_planar(skeleton | {(v, -1) for p in skeleton for v in p})
 
 
 @dataclass(frozen=True)
@@ -331,7 +331,7 @@ def is_planar(g: WeightedMultigraph) -> PlanarityResult:
 
 def is_outerplanar(g: WeightedMultigraph) -> bool:
     """True iff some planar embedding has every vertex on one face."""
-    return skeleton_outerplanar(g.skeleton(), g.n)
+    return skeleton_outerplanar(g.skeleton())
 
 
 def faces(embedding: Embedding) -> tuple[Face, ...]:

@@ -119,14 +119,12 @@ class _DrawingSearch:
         self.ticker = Ticker(budget)
         # every drawing of the nonplanar G crosses at least this much
         self.floor = max(1, _euler_count_lb(g))
-        self.pairs = [
-            (e, f)
+        # the independent pairs of edges, in lexicographic order, and their costs
+        self.pair_cost = {
+            (e, f): g.weight(e) * g.weight(f)
             for e in range(g.m)
             for f in range(e + 1, g.m)
             if g.independent(e, f)
-        ]
-        self.pair_cost = {
-            (e, f): g.weight(e) * g.weight(f) for e, f in self.pairs
         }
         self.planarizable_cache: dict[frozenset, dict | None] = {}
         self.essential: frozenset[int] | None = None  # edges e with G - e nonplanar
@@ -239,8 +237,8 @@ class _DrawingSearch:
         lb = self.floor
         allowed = [
             p
-            for p in self.pairs
-            if p[0] not in avoid and p[1] not in avoid and self.pair_cost[p] <= limit
+            for p, cost in self.pair_cost.items()
+            if p[0] not in avoid and p[1] not in avoid and cost <= limit
         ]
 
         def walk(idx: int, chosen: tuple, cost: int):

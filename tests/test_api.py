@@ -72,6 +72,14 @@ def test_no_module_sets_the_recursion_limit():
         assert "setrecursionlimit" not in names, path.name
 
 
+def test_no_module_rebinds_a_module_global():
+    # process-global state stays bounded: what a call needs travels with it
+    package = pathlib.Path(uncrossed.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert not any(isinstance(node, ast.Global) for node in ast.walk(tree)), path.name
+
+
 def _private_definitions(tree):
     """Top-level functions and classes, and their methods, named _x but not __x__."""
     for node in tree.body:

@@ -6,10 +6,11 @@ import sys
 import pytest
 
 from uncrossed.cli import main
+from uncrossed.core import WeightedMultigraph
 from uncrossed.files import load_graph, parse_graph_text, save_graph
 from uncrossed.instances import complete, hex_grid
 
-from conftest import ROOT
+from conftest import ROOT, run_python
 
 
 def run(capsys, *argv):
@@ -208,6 +209,21 @@ def test_thickness_of_a_large_hex_grid(tmp_path, capsys):
     run(capsys, "gen", "hex-grid", "8", "--out", grid)
     code, kv = run(capsys, "solve", "--mode", "thickness", "--input", grid)
     assert code == 0 and kv["thickness"] == "1"
+
+
+def test_running_out_of_memory_exits_unknown(tmp_path):
+    # the solvers' set-up holds an n x n table: 20,000 vertices cannot fit
+    # under a 256 MiB address-space cap, and that is no answer of "no"
+    save_graph(tmp_path / "g.txt", WeightedMultigraph(20_000, ((0, 1, 1),)))
+    proc = run_python(
+        "import resource, sys\n"
+        "from uncrossed.cli import main\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+        "sys.exit(main(['solve', '--mode', 'thickness', '--input', 'g.txt']))\n",
+        timeout=60, cwd=tmp_path,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: out of memory\n" and proc.stdout == ""
 
 
 def test_gen_families(tmp_path, capsys):

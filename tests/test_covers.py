@@ -434,7 +434,7 @@ def test_cover_search_keys_only_two_or_more_parts(name):
 
 
 def _outerplanar(g):
-    return lambda part: skeleton_outerplanar(g.skeleton(part), g.n)
+    return lambda part: skeleton_outerplanar(g.skeleton(part))
 
 
 def test_keyed_cover_search_of_k7_visits_few_nodes(k7):

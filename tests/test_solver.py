@@ -518,7 +518,7 @@ def test_planarizable_matches_brute_force_orders(data):
     g = data.draw(drawing_search_graphs())
     search = _DrawingSearch(g, NO_BUDGET)
     for _ in range(4):
-        events = frozenset(data.draw(st.sets(st.sampled_from(search.pairs), max_size=4)))
+        events = frozenset(data.draw(st.sets(st.sampled_from(list(search.pair_cost)), max_size=4)))
         want = slow_planarizable(g, events)
         if not search._deletions_planar(events):
             assert want is None, (g.edges, sorted(events))
@@ -530,7 +530,7 @@ def check_drawings_avoiding(g, avoid, limit):
     search's planarizable as the oracle (checked against networkx above)."""
     search, oracle = _DrawingSearch(g, NO_BUDGET), _DrawingSearch(g, NO_BUDGET)
     allowed = [
-        p for p in oracle.pairs
+        p for p in oracle.pair_cost
         if not avoid & set(p) and oracle.pair_cost[p] <= limit
     ]
     planarizable = {}  # events -> (cost, orders)
@@ -586,7 +586,7 @@ def test_deletion_test_rejects_two_pairs_of_k6():
     # edges, more than the twelve of a planar graph on six vertices
     g = complete(6)
     search = _DrawingSearch(g, NO_BUDGET)
-    events = frozenset(search.pairs[:2])
+    events = frozenset(list(search.pair_cost)[:2])
     assert not search._deletions_planar(events)
     assert search.essential == frozenset(range(g.m))
     assert search.planarizable(events) is None is slow_planarizable(g, events)
