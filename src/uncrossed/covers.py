@@ -540,11 +540,14 @@ def _arrange_components(profiles, needs):
     and parent per component, region of each isolated vertex) for the first
     arrangement found, or None.  A parent or region of None is the
     unbounded region; ``(comp, face)`` is an inner face of that component.
-    Any number of components works, zero and one included.
+    Any number of components works, zero and one included.  A lone
+    component tries shown face 0 only: every shown face gives it the same
+    region sets, so if face 0 fails, all fail.
     """
     for chosen in itertools.product(*profiles):
         faces_of = [faces for _, faces in chosen]
-        for shown in itertools.product(*(range(len(faces)) for faces in faces_of)):
+        lone = len(faces_of) == 1
+        for shown in itertools.product(*(range(1 if lone else len(faces)) for faces in faces_of)):
             slot_lists = [
                 [None] + [
                     (cj, fi)

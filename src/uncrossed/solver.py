@@ -13,6 +13,7 @@ proven bounds; it is never reported as a plain no.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .core import (
@@ -126,6 +127,11 @@ class _DrawingSearch:
             for f in range(e + 1, g.m)
             if g.independent(e, f)
         }
+        # per edge, its cheapest pair; inf for an edge in no pair
+        self.cheapest_pair = [math.inf] * g.m
+        for pair, cost in self.pair_cost.items():
+            for e in pair:
+                self.cheapest_pair[e] = min(self.cheapest_pair[e], cost)
         self.planarizable_cache: dict[frozenset, dict | None] = {}
         self.essential: frozenset[int] | None = None  # edges e with G - e nonplanar
         self.planar_without: dict[frozenset, bool] = {}  # removed edges -> G - R planar
@@ -303,6 +309,16 @@ class _DrawingSearch:
         orders), or None when impossible within k_left.  Among plans of
         least cost the one with the least :func:`_plans_key` wins, so the
         answer is the same for every k_left at or above that cost.
+
+        Plans of two or more drawings branch on one uncovered edge x that a
+        drawing within the trimmed limit can cross: every plan leaves x
+        uncrossed in some drawing, which is taken first.  Whichever x is
+        chosen, the least plan is reached, since its drawings are
+        inclusion-minimal planarizable sets, which the walk lists whatever
+        edge it avoids; an x that no such drawing crosses would rule out no
+        first drawing.  When no uncovered edge is crossable, the first
+        drawing of any longer plan leaves them all uncrossed and is cheaper
+        on its own, so the one-drawing plan wins.
         """
         best = None  # (total, _plans_key, plans) of the least plan so far
         got = self.min_drawing(uncovered, k_left)  # the least one-drawing plan
@@ -311,9 +327,10 @@ class _DrawingSearch:
             best = (got[0], _plans_key(plans), plans)
         # a first drawing crossing an uncovered edge needs a further one,
         # and every drawing costs at least :attr:`floor`
-        avoid = frozenset({min(uncovered)})
-        fits = c_left > 1 and k_left >= 2 * self.floor
-        firsts = self.drawings_avoiding(avoid, k_left - self.floor) if fits else []
+        limit = k_left - self.floor
+        crossable = [e for e in uncovered if self.cheapest_pair[e] <= limit]
+        fits = c_left > 1 and limit >= self.floor and crossable
+        firsts = self.drawings_avoiding(frozenset({min(crossable)}), limit) if fits else []
         for cost_d, events, orders, touched in firsts:
             if best is not None and cost_d > best[0]:
                 break  # sorted by cost: nothing cheaper is left

@@ -243,6 +243,15 @@ def test_gen_families(tmp_path, capsys):
     assert main(["gen", "complete"]) == 3  # missing parameter
 
 
+def test_solve_ucr_of_heavy_cycle_m5(tmp_path, capsys):
+    # ucr = m * C(m - 1, 2) with one drawing per diameter left uncrossed
+    g = str(tmp_path / "g.txt")
+    assert run(capsys, "gen", "heavy-cycle", "5", "--out", g)[0] == 0
+    code, kv = run(capsys, "solve", "--mode", "ucr", "--budget", "10", "--input", g)
+    assert code == 0
+    assert (kv["status"], kv["ucr"], kv["ounc"]) == ("exact", "30", "5")
+
+
 def test_gen_to_stdout_reads_back_as_a_graph(capsys):
     # hex-grid's ring sizes go to a comment line, not before the header
     assert main(["gen", "hex-grid", "2"]) == 0

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uncrossed import covers
 from uncrossed.bounds import outerthickness, thickness
 from uncrossed.core import PreconditionError, WeightedMultigraph, graph_from_edges
 from uncrossed.covers import (
@@ -109,6 +110,34 @@ def test_shown_face_other_than_first():
     res = realizable_uncrossed_set(g, range(len(s_pairs)))
     assert res.status == "yes"
     assert certificate_is_valid(g, res.certificate)
+
+
+def test_lone_component_tries_one_shown_face(monkeypatch):
+    # four paths 0-a-1 (K2,4) have three face families, each of four faces
+    # {0, 1, a, b}; the isolated vertex 6 needs a face holding 2, 3, 4, 5
+    s_pairs = [(e, a) for a in range(2, 6) for e in (0, 1)]
+    hosted = [(a, 6) for a in range(2, 6)]
+    g = WeightedMultigraph(7, tuple((u, v, 1) for u, v in s_pairs + hosted))
+    ctx = RealizabilityContext(g)
+    entries = []
+    real_profiles, real_regions = ctx.profiles, covers._regions
+
+    def profiles(*args):
+        found = real_profiles(*args)
+        entries.append([len(faces) for _, faces in found])
+        return found
+
+    calls = []
+
+    def regions(*args):
+        calls.append(args)
+        return real_regions(*args)
+
+    monkeypatch.setattr(ctx, "profiles", profiles)
+    monkeypatch.setattr(covers, "_regions", regions)
+    assert ctx.realizable(range(len(s_pairs))).status == "no"
+    assert entries == [[4, 4, 4]]
+    assert len(calls) == 3  # one per entry, not one per face of each entry
 
 
 def test_agrees_with_embedding_enumeration_oracle(k7):

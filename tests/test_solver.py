@@ -33,6 +33,7 @@ from uncrossed.solver import (
     SearchBudget,
     UcrResult,
     _DrawingSearch,
+    _plans_key,
     _witness_from_plans,
     crossing_number,
     decide_uncrossed_cost,
@@ -262,6 +263,39 @@ def test_ucr_heavy_cycle():
     rim = set(range(6))
     for d in res.witness.drawings:
         assert rim <= d.uncrossed_edges(g)
+
+
+def _relabelled(g, seed):
+    """``g`` with its vertices permuted and its edge ids shuffled."""
+    rng = random.Random(seed)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v], w) for u, v, w in g.edges]
+    rng.shuffle(edges)
+    return WeightedMultigraph(g.n, tuple(edges))
+
+
+@pytest.mark.parametrize(
+    "m, budget",
+    [
+        (3, NO_BUDGET),
+        # 1,072 nodes at each seed; branching on a rim edge, which no
+        # affordable drawing crosses, took 4,345 at seeds 4 and 5
+        (4, SearchBudget(max_nodes=2000)),
+        (5, SearchBudget(wall_clock_seconds=5)),
+    ],
+)
+# seeds 0 and 1 give edge id 0 to a diameter, seeds 4 and 5 to a rim edge
+@pytest.mark.parametrize("seed", [0, 1, 4, 5])
+def test_ucr_heavy_cycle_closed_form(m, budget, seed):
+    # a rim crossing costs m^3 > m * C(m - 1, 2); with the rim uncrossed two
+    # diameters on one side of it interleave, so a drawing leaves at most
+    # one diameter uncrossed and pays C(m - 1, 2) for the rest: one drawing
+    # per diameter
+    g = _relabelled(heavy_cycle_with_diameters(m), seed)
+    res = uncrossed_crossing_number(g, budget)
+    assert (res.status, res.ucr, res.ounc) == ("exact", m * (m - 1) * (m - 2) // 2, m)
+    assert verify_collection(g, res.witness).accepted
 
 
 def test_ucr_two_light_family():
@@ -579,6 +613,61 @@ def test_drawings_avoiding_lists_every_minimal_planarizable_set(data):
 def test_drawings_avoiding_k6_at_its_crossing_number(avoid):
     # cr(K6) = 3, so every listed set of K6 sits at the limit itself
     check_drawings_avoiding(complete(6), avoid, 3)
+
+
+def brute_least_plan(g, c, k):
+    """Least plan covering E(G) with <= c drawings and total cost <= k, by
+    (total, sorted event lists), over every combination of inclusion-minimal
+    planarizable sets, with a second search's planarizable as the oracle."""
+    oracle = _DrawingSearch(g, NO_BUDGET)
+    allowed = [p for p, cost in oracle.pair_cost.items() if cost <= k]
+    dominated = set()  # planarizable sets and their supersets
+    minimal = []  # (cost, sorted events, orders, touched edges)
+    for size in range(1, k + 1):  # every pair costs at least 1
+        for chosen in itertools.combinations(allowed, size):
+            events = frozenset(chosen)
+            cost = sum(oracle.pair_cost[p] for p in chosen)
+            if cost > k:
+                continue
+            if any(events - {p} in dominated for p in chosen):
+                dominated.add(events)
+            elif (orders := oracle.planarizable(events)) is not None:
+                dominated.add(events)
+                minimal.append((cost, sorted(events), orders, {e for p in events for e in p}))
+    best = None
+    for size in range(1, c + 1):
+        for plan in itertools.combinations(minimal, size):
+            total = sum(d[0] for d in plan)
+            if total > k or any(all(e in d[3] for d in plan) for e in range(g.m)):
+                continue
+            key = tuple(sorted(tuple(d[1]) for d in plan))
+            if best is None or (total, key) < best[:2]:
+                best = (total, key, {tuple(d[1]): d[2] for d in plan})
+    return best
+
+
+@st.composite
+def weighted_small_graphs(draw):
+    """K5, K3,3 or the heavy cycle with three diameters, edge ids shuffled
+    and weights from {1, 2, 5}: many edges are in no pair that fits."""
+    base = draw(st.sampled_from([complete(5), complete_bipartite(3, 3), heavy_cycle_with_diameters(3)]))
+    edges = [(u, v, draw(st.sampled_from([1, 2, 5]))) for u, v, _ in base.edges]
+    return WeightedMultigraph(base.n, tuple(draw(st.permutations(edges))))
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_cover_matches_brute_force_least_plan(data):
+    # the branching edge may be any uncovered edge; the least plan must
+    # not depend on which
+    g = data.draw(weighted_small_graphs())
+    c, k = data.draw(st.sampled_from([2, 3])), data.draw(st.integers(2, 6))
+    want = brute_least_plan(g, c, k)
+    got = _DrawingSearch(g, NO_BUDGET).cover(frozenset(range(g.m)), c, k)
+    if got is not None:
+        total, plans = got
+        got = (total, _plans_key(plans), {tuple(sorted(ev)): orders for ev, orders in plans})
+    assert got == want, (g.edges, c, k)
 
 
 def test_deletion_test_rejects_two_pairs_of_k6():
