@@ -15,7 +15,10 @@ condition can be abandoned immediately.
 
 :class:`RealizabilityContext` carries per-graph caches: face profiles are
 memoized per connected component (in original edge ids), which is what makes
-the exhaustive covering searches affordable.  Its :meth:`~RealizabilityContext.feasible`
+the exhaustive covering searches affordable.  A component's profile comes
+from one walk over its partial plane embeddings
+(:func:`~uncrossed.planarity.hosting_rotations`), which abandons a branch
+as soon as a required pair shares no face.  Its :meth:`~RealizabilityContext.feasible`
 answers each orbit of a part under Aut(G) once, keyed by a canonical
 labelling of G with the part's edges coloured (the colour refinement and
 cell-wise labelling search of McKay & Piperno, "Practical graph isomorphism
@@ -51,14 +54,16 @@ from .planarity import (
     build_embedding,
     component_faces,
     components_of,
+    hosting_rotations,
     planar_rotations_of_component,
     rotation_from_succ,
     skeleton_outerplanar,
     skeleton_planar,
 )
 
-#: Genus-zero rotation systems one context may take from the enumerator (pruned
-#: subtrees do not count) before its answers turn "unknown".
+#: Nodes of the hosting walk (partial plane embeddings) one context may visit
+#: before its answers turn "unknown"; the one rotation of a tree or a
+#: 3-connected component counts as one node.
 ROTATION_BUDGET = 5_000_000
 
 #: Vertex labellings one canonical form may try; 7! covers every part of K7.
@@ -282,19 +287,19 @@ class PairColours:
 class RealizabilityContext:
     """Per-graph state for realizability queries.
 
-    Face profiles (the surviving rotation systems of one component and
+    Face profiles (the hosting rotation systems of one component and
     their face vertex sets) are cached by the component's edge set, so
-    covering searches that revisit the same component pay for its rotation
-    enumeration once.  Yes/no answers of :meth:`feasible` are memoized by
+    covering searches that revisit the same component pay for its walk
+    once.  Yes/no answers of :meth:`feasible` are memoized by
     the part's :meth:`PairColours.form`, so parts that an automorphism of G
-    maps onto each other share one query.  Every rotation tried reads the
+    maps onto each other share one query.  Every node of the walk reads the
     clock of :attr:`ticker`, which a caller may share with its search.
     """
 
     def __init__(self, g: WeightedMultigraph):
         self.g = g
         self.ticker = Ticker(NO_BUDGET)
-        self.rotations_spent = 0
+        self.nodes_spent = 0
         self.profile_cache: dict[frozenset[int], list | None] = {}
         self.g_pairs = g.skeleton()
         self.orbit_memo: dict[tuple, bool] = {}
@@ -371,6 +376,10 @@ class RealizabilityContext:
         Pairs joining different components are always addable (draw the
         components side by side with the endpoints outward), so only pairs
         inside one component are tested, in sorted order.
+
+        :meth:`realizable` no longer calls it: the walk of :meth:`profiles`
+        prunes on the same pairs.  It stays only because the benchmark's
+        tracer (``perfbench/tracing.py``) wraps it by name.
         """
         for u, v in pairs:
             cu = comp_of.get(u)
@@ -383,82 +392,74 @@ class RealizabilityContext:
     def profiles(self, vertices, edges, within):
         """Rotations of one component hosting all its required pairs.
 
-        Entries are (succ copy, faces); rotations repeating an earlier face
-        vertex-set family are dropped.  Returns None once the context has
-        taken more than :data:`ROTATION_BUDGET` rotations.  ``within`` must
-        equal the required pairs inside this component, which only depend
-        on the edge set, so results are cached by the edge set.  Trees and
-        simple 3-connected components have one face vertex-set family and
-        take one rotation: a tree the enumerator's first (every vertex's
-        darts in sorted order), a 3-connected component the LR one.  Any
-        other component is None at once when a vertex of degree d has
-        d * (d-1)! > ROTATION_BUDGET: the clock is read only between
-        rotations yielded, and the enumerator may try that vertex's (d-1)!
-        cycles between two of them.
+        Entries are (succ, faces), one per face vertex-set family.  Trees
+        and simple 3-connected components have one family and take one
+        rotation: a tree the enumerator's first (every vertex's darts in
+        sorted order), a 3-connected component the LR one.  Any other
+        component takes :func:`~uncrossed.planarity.hosting_rotations`,
+        which walks its partial plane embeddings and keeps, per family,
+        the system ``planar_rotations_of_component(..., half=True)``
+        yields first, in that order; so entries, arrangements and
+        certificates are those of the rotation product.  Every node of the
+        walk reads the clock and counts against :data:`ROTATION_BUDGET`;
+        past it the result is None.  A component for the walk is None at
+        once when a vertex of degree d has d * (d-1)! > ROTATION_BUDGET, a rule kept
+        from the rotation product: a bundle of d parallel edges alone has
+        (d-1)! plane embeddings.  ``within`` must equal the required pairs
+        inside this component, which only depend on the edge set, so
+        results are cached by the edge set.
         """
         key = frozenset(edges)
         if key in self.profile_cache:
             return self.profile_cache[key]
         g = self.g
-        if len(edges) == len(vertices) - 1:
-            rotations = itertools.islice(planar_rotations_of_component(g, vertices, edges), 1)
-        elif len(edges) == len(g.skeleton(edges)) and _three_connected(g, vertices, edges):
-            rotations = [_single_lr_rotation(g, vertices, edges)]
-        else:
-            degree = Counter(v for e in edges for v in g.edges[e][:2])
-            if max(d * math.factorial(d - 1) for d in degree.values()) > ROTATION_BUDGET:
-                self.profile_cache[key] = None
-                return None
-            rotations = planar_rotations_of_component(g, vertices, edges, half=True)
-        out = []
-        seen_families = set()
-        for succ in rotations:
-            self.ticker.check_clock()
-            self.rotations_spent += 1
-            if self.rotations_spent > ROTATION_BUDGET:
-                out = None
-                break
-            faces = component_faces(g, vertices, edges, succ)
-            ok = True
-            for u, v in within:
-                if not any(u in verts and v in verts for _, verts in faces):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            family = tuple(sorted(tuple(sorted(verts)) for _, verts in faces))
-            if family in seen_families:
-                continue
-            seen_families.add(family)
-            out.append((list(succ), faces))
+        tree = len(edges) == len(vertices) - 1
+        degree = Counter(v for e in edges for v in g.edges[e][:2])
+        out = None
+        if tree or (len(edges) == len(g.skeleton(edges)) and _three_connected(g, vertices, edges)):
+            if self._visit():
+                if tree:
+                    succ = list(next(planar_rotations_of_component(g, vertices, edges)))
+                else:
+                    succ = _single_lr_rotation(g, vertices, edges)
+                faces = component_faces(g, vertices, edges, succ)
+                hosted = all(any(u in verts and v in verts for _, verts in faces) for u, v in within)
+                out = [(succ, faces)] if hosted else []
+        elif max(d * math.factorial(d - 1) for d in degree.values()) <= ROTATION_BUDGET:
+            out = hosting_rotations(g, vertices, edges, within, self._visit)
         self.profile_cache[key] = out
         return out
+
+    def _visit(self) -> bool:
+        """Read the clock and count one node against
+        :data:`ROTATION_BUDGET`; false once the budget is spent."""
+        self.ticker.check_clock()
+        self.nodes_spent += 1
+        return self.nodes_spent <= ROTATION_BUDGET
 
     # -- the decision ----------------------------------------------------
 
     def realizable(self, edge_ids, want_certificate: bool = False) -> RealizabilityResult:
         """Whether some drawing of G leaves the edges ``edge_ids`` uncrossed.
 
-        Cheap tests first: (V, S) planar, then outerplanar (yes outright,
-        unless a certificate is wanted), then every pair inside one
-        component insertable.  Then each component's :meth:`profiles` host
+        Cheap tests first: unless a certificate is wanted, (V, S)
+        outerplanar is yes outright (an outerplanar graph is planar); then
+        (V, S) must be planar.  Then each component's :meth:`profiles` host
         its inside pairs, and :func:`_arrange_components` looks for one
         choice per component and a nesting that meets the :func:`_needs`
         of the pairs between components and of the isolated vertices.
-        "unknown" means the rotation budget ran out.
+        "unknown" means the walk's node budget ran out.
         """
         g = self.g
         s = frozenset(edge_ids)
         skel = g.skeleton(s)
-        if not skeleton_planar(skel):
-            return RealizabilityResult("no")
         if not want_certificate and skeleton_outerplanar(skel):
             return RealizabilityResult("yes")
+        if not skeleton_planar(skel):
+            return RealizabilityResult("no")
         pairs = sorted(self.g_pairs - skel)
         comps, isolated = g.components(s)
         comp_of = {v: ci for ci, (vs, _) in enumerate(comps) for v in vs}
-        if not self.pairs_insertable(skel, pairs, comp_of):
-            return RealizabilityResult("no")
 
         within: list[list[tuple[int, int]]] = [[] for _ in comps]
         cross: list[tuple[int, int]] = []

@@ -4,7 +4,8 @@ The planarity verdict comes from the iterative left-right kernel in
 ``_lrtest``; networkx only supplies the embeddings and Kuratowski witnesses
 of ``is_planar`` and the single rotation of ``covers._single_lr_rotation``.
 Everything combinatorial on top of them (rotation systems, face walks,
-nesting of components, exhaustive embedding enumeration) lives here.
+nesting of components, exhaustive embedding enumeration, and the walk over
+partial plane embeddings that realizability queries use) lives here.
 
 Darts: edge e contributes darts ``2e`` (incident at ``endpoints(e)[0]``) and
 ``2e+1`` (at ``endpoints(e)[1]``); ``d ^ 1`` is the opposite dart.  A face
@@ -278,14 +279,209 @@ def component_faces(
     """Face walks of one component's rotation, with their vertex sets."""
     if not edges:
         return [((), frozenset(vertices))]
-    all_darts = []
-    for eid in edges:
-        all_darts.append(2 * eid)
-        all_darts.append(2 * eid + 1)
-    walks = _orbit_walks(sorted(all_darts), succ)
+    return _faces(g, sorted(2 * e + k for e in edges for k in (0, 1)), succ)
+
+
+def _faces(g: WeightedMultigraph, darts: list[int], succ) -> list:
+    """:func:`component_faces` of the component with these sorted darts."""
+    walks = sorted(_orbit_walks(darts, succ))
+    return [(walk, frozenset(dart_vertex(g, d) for d in walk)) for walk in walks]
+
+
+def _insertion_order(g: WeightedMultigraph, edges) -> list[int]:
+    """Edges of one connected component, the least id first; then the least
+    id joining two placed vertices, else the least id touching one."""
+    rest = sorted(edges)
+    order = [rest.pop(0)]
+    placed = set(g.edges[order[0]][:2])
+    while rest:
+        e = next((e for e in rest if g.edges[e][0] in placed and g.edges[e][1] in placed), None)
+        if e is None:
+            e = next(e for e in rest if g.edges[e][0] in placed or g.edges[e][1] in placed)
+        rest.remove(e)
+        order.append(e)
+        placed.update(g.edges[e][:2])
+    return order
+
+
+def hosting_rotations(g: WeightedMultigraph, vertices, edges, within, visit):
+    """Plane rotation systems of a connected component with a cycle that
+    put both ends of every pair of ``within`` on one face: for each face
+    vertex-set family, the system that
+    ``planar_rotations_of_component(..., half=True)`` yields first, as
+    (succ, faces) in that order.  ``succ`` is a fresh dart -> next-dart
+    list, 0 at darts of other components; faces are as in
+    :func:`component_faces`.  ``visit()`` runs at every node of the walk and
+    ends it, returning None, when it is false.
+
+    The walk inserts the edges one at a time in :func:`_insertion_order`.
+    An edge with one end placed goes into any corner of that end; one with
+    both ends placed goes into two corners of one face, which it splits.
+    Every plane embedding of the component arises exactly once this way.
+    The corner after dart c at its vertex lies on the face of ``succ[c]``.
+    Faces only split or grow, so a subtree whose partial embedding has a
+    placed pair on no common face is skipped.  A leaf is written as each
+    vertex's dart cycle from its least dart, in ``vertices`` order; the
+    enumerator yields these keys in increasing order.  The least key of a
+    family reads ``rest[0] < rest[-1]`` at the anchor (the first vertex of
+    degree three or more), or its mirror image, which has the same faces
+    and differs first there, would be less.  So ``half`` keeps it, and it
+    is the family's first system there.
+    """
+    size = 2 * g.m
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    vbit = [0] * size  # the bit of the vertex a dart leaves
+    for e in edges:
+        u, v, _ = g.edges[e]
+        vbit[2 * e], vbit[2 * e + 1] = bit[u], bit[v]
+    darts = sorted(2 * e + k for e in edges for k in (0, 1))
+    least_at: dict[int, int] = {}
+    for d in darts:
+        least_at.setdefault(vbit[d], d)
+    least = [least_at[bit[v]] for v in vertices]
+    pairs = [bit[u] | bit[v] for u, v in within]
+
+    # per insertion after the first: its darts (at a placed end first), and
+    # the pair bits the new vertex's face must hold when it places one,
+    # else the pairs with both ends placed
+    order = _insertion_order(g, edges)
+    first = 2 * order[0]
+    placed = vbit[first] | vbit[first + 1]
+    steps = []
+    for e in order[1:]:
+        da, db = (2 * e, 2 * e + 1) if vbit[2 * e] & placed else (2 * e + 1, 2 * e)
+        new = vbit[db] & ~placed
+        placed |= new
+        ready = [pm for pm in pairs if pm & placed == pm]
+        if new:
+            need = 0
+            for pm in ready:
+                if pm & new:
+                    need |= pm
+            steps.append((da, db, True, need))
+        else:
+            steps.append((da, db, False, ready))
+
+    succ = [0] * size
+    face = [0] * size  # the face whose walk leaves along a dart
+    at: dict[int, list[int]] = {b: [] for b in bit.values()}  # placed darts
+    succ[first], succ[first + 1] = first, first + 1
+    at[vbit[first]].append(first)
+    at[vbit[first + 1]].append(first + 1)
+    fmask = [vbit[first] | vbit[first + 1]]
+    best: dict[tuple, tuple] = {}
+
+    def record() -> None:
+        cycles = []
+        for d0 in least:
+            cycle = [d0]
+            d = succ[d0]
+            while d != d0:
+                cycle.append(d)
+                d = succ[d]
+            cycles.append(tuple(cycle))
+        key = tuple(cycles)
+        family = tuple(sorted(fmask))
+        if family not in best or key < best[family]:
+            best[family] = key
+
+    def corners(k: int):
+        da, db, pendant, _ = steps[k]
+        if pendant:
+            return iter(at[vbit[da]][:])
+        return iter([
+            (c, c2) for c in at[vbit[da]] for c2 in at[vbit[db]] if face[succ[c]] == face[succ[c2]]
+        ])
+
+    if not visit():
+        return None
+    last = len(steps) - 1
+    options: list = [None] * len(steps)  # per step, the corners not yet tried
+    undo: list = [None] * len(steps)  # per step, how to take its edge out
+    k = 0
+    options[0] = corners(0)
+    while k >= 0:
+        da, db, pendant, test = steps[k]
+        back = undo[k]
+        if back is not None:  # take the last insertion out
+            undo[k] = None
+            at[vbit[da]].pop()
+            at[vbit[db]].pop()
+            if pendant:
+                c, f, old = back
+                succ[c] = succ[da]
+            else:
+                c, c2, f, old, moved = back
+                succ[c] = succ[da]
+                succ[c2] = succ[db]
+                for d in moved:
+                    face[d] = f
+                fmask.pop()
+            fmask[f] = old
+        choice = next(options[k], None)
+        if choice is None:
+            k -= 1
+            continue
+        if not visit():
+            return None
+        at[vbit[da]].append(da)
+        at[vbit[db]].append(db)
+        if pendant:
+            c = choice
+            f = face[succ[c]]
+            succ[da] = succ[c]
+            succ[c] = da
+            succ[db] = db
+            face[da] = face[db] = f
+            old = fmask[f]
+            fmask[f] = old | vbit[db]
+            undo[k] = (c, f, old)
+            ok = fmask[f] & test == test
+        else:
+            c, c2 = choice
+            f = face[succ[c]]
+            succ[da] = succ[c]
+            succ[c] = da
+            succ[db] = succ[c2]
+            succ[c2] = db
+            # the walk from da becomes a new face; the one from db keeps f
+            new_face = len(fmask)
+            moved = []
+            split = 0
+            d = da
+            while True:
+                moved.append(d)
+                face[d] = new_face
+                split |= vbit[d]
+                d = succ[d ^ 1]
+                if d == da:
+                    break
+            rest = vbit[db]
+            face[db] = f
+            d = succ[db ^ 1]
+            while d != db:
+                rest |= vbit[d]
+                d = succ[d ^ 1]
+            old = fmask[f]
+            fmask[f] = rest
+            fmask.append(split)
+            undo[k] = (c, c2, f, old, moved)
+            ok = all(any(fm & pm == pm for fm in fmask) for pm in test if pm & old == pm)
+        if not ok:
+            continue
+        if k == last:
+            record()
+            continue
+        k += 1
+        options[k] = corners(k)
+
     out = []
-    for walk in sorted(walks):
-        out.append((walk, frozenset(dart_vertex(g, d) for d in walk)))
+    for key in sorted(best.values()):
+        rot = [0] * size
+        for cycle in key:
+            for i, d in enumerate(cycle):
+                rot[d] = cycle[i + 1 - len(cycle)]
+        out.append((rot, _faces(g, darts, rot)))
     return out
 
 

@@ -23,7 +23,13 @@ from uncrossed.covers import (
     realizable_uncrossed_set,
 )
 from uncrossed.instances import complete, complete_bipartite
-from uncrossed.planarity import enumerate_embeddings, graph_planar, skeleton_outerplanar
+from uncrossed.planarity import (
+    component_faces,
+    enumerate_embeddings,
+    graph_planar,
+    planar_rotations_of_component,
+    skeleton_outerplanar,
+)
 from uncrossed.solver import SearchBudget, uncrossed_number
 
 from conftest import atlas_graphs, cycle, edge_id_map, run_python
@@ -601,3 +607,90 @@ def test_labelling_bound_keys_by_the_part():
     assert key is None
     assert ctx.feasible(part) is True
     assert ctx.orbit_memo == {}  # CoverSearch.cache holds parts without a form
+
+
+# -- the hosting walk of profiles -----------------------------------------------
+
+
+def _first_hosting_systems(g, vertices, edges, within) -> list:
+    """What ``profiles`` must return, from the rotation product: the first
+    system of each face vertex-set family among those hosting every pair."""
+    out, families = [], set()
+    for succ in planar_rotations_of_component(g, vertices, edges, half=True):
+        faces = component_faces(g, vertices, edges, succ)
+        if not all(any({u, v} <= verts for _, verts in faces) for u, v in within):
+            continue
+        family = tuple(sorted(tuple(sorted(verts)) for _, verts in faces))
+        if family not in families:
+            families.add(family)
+            out.append((list(succ), faces))
+    return out
+
+
+@st.composite
+def walk_components(draw):
+    """(g, vertices, edges, within): one connected planar component of g on
+    4-7 vertices, a random tree (pendant paths, cut vertices) plus chords
+    and parallel copies, after an edge of another component so its darts do
+    not start at 0; vertices in a random order and random required pairs."""
+    n = draw(st.integers(4, 7))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    all_pairs = list(itertools.combinations(range(n), 2))
+    pairs += draw(st.lists(st.sampled_from(all_pairs), min_size=1, max_size=4, unique=True))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=2))
+    pairs = draw(st.permutations(pairs))
+    g = WeightedMultigraph(n + 2, ((n, n + 1, 1), *((u, v, 1) for u, v in pairs)))
+    edges = tuple(range(1, g.m))
+    vertices = tuple(draw(st.permutations(range(n))))
+    within = draw(st.lists(st.sampled_from(all_pairs), max_size=5, unique=True))
+    return g, vertices, edges, within
+
+
+def _walk_cases(g, s) -> list:
+    """(vertices, edges, required pairs) of each component of s with edges."""
+    pairs = sorted(g.skeleton() - g.skeleton(s))
+    return [
+        (vs, es, [(u, v) for u, v in pairs if u in vs and v in vs])
+        for vs, es in g.components(s)[0]
+    ]
+
+
+@settings(max_examples=80)
+@given(walk_components(), st.sampled_from(sorted(_SYMMETRIC)), st.data())
+def test_profiles_walk_matches_first_systems_of_the_rotation_product(comp, name, data):
+    # entries of components with a cycle come from the walk, and must be the
+    # product's first hosting system of each family, succ lists and faces
+    # alike; a tree's one entry is the product's first system too
+    cases = []
+    g, vertices, edges, within = comp
+    if graph_planar(g):
+        cases.append((g, vertices, edges, within))
+    sym = _SYMMETRIC[name]
+    s = data.draw(st.frozensets(st.integers(0, sym.m - 1), min_size=4, max_size=8))
+    if graph_planar(sym.spanning_subgraph(s)):
+        cases += [(sym, *case) for case in _walk_cases(sym, s)]
+    for g, vertices, edges, within in cases:
+        if len(edges) == len(g.skeleton(edges)) and covers._three_connected(g, vertices, edges):
+            continue  # the one entry is the LR rotation
+        want = _first_hosting_systems(g, vertices, edges, within)
+        assert RealizabilityContext(g).profiles(vertices, edges, within) == want
+
+
+def test_walk_past_the_rotation_budget_is_unknown(monkeypatch):
+    # the walk decides this "no" of K7 in 44 nodes; under a budget of 30
+    # (the degree rule allows 4 * 3! = 24) it runs out and must answer
+    # unknown, and a cover search whose answers run out keeps unc(K6) = 2
+    k7 = complete(7)
+    s = [0, 8, 9, 10, 12, 15, 16, 17, 18]
+    ctx = RealizabilityContext(k7)
+    assert ctx.realizable(s).status == "no"
+    assert ctx.nodes_spent == 44
+    monkeypatch.setattr(covers, "ROTATION_BUDGET", 30)
+    assert RealizabilityContext(k7).realizable(s).status == "unknown"
+    k6 = complete(6)
+    for budget in (1, 10, 30):
+        monkeypatch.setattr(covers, "ROTATION_BUDGET", budget)
+        search = CoverSearch(k6, RealizabilityContext(k6).feasible)
+        res = search.minimum()
+        assert search.unknowns > 0
+        assert (res.status, res.value, res.lower_bound) == ("exact", 2, 2)

@@ -884,13 +884,18 @@ def _cr_status(g, budget):
     return res.status if res.lower_bound >= 6 else f"lower bound {res.lower_bound}"
 
 
+_K5_PAIRS = sorted(complete(5).skeleton())
+# two K5s sharing vertex 4
+_K5_ONE_SUM = graph_from_edges(9, _K5_PAIRS + [(u + 4, v + 4) for u, v in _K5_PAIRS])
+
+
 @pytest.mark.parametrize(
     "g, solve",
     [
-        (complete(6), _ucr_status),
-        (complete(6), lambda g, budget: decide_uncrossed_cost(g, 3, 8, budget).verdict),
-        # the K6 cases finish in a fraction of a second even without a
-        # budget; these two run for well over ten seconds
+        # without a budget these two take about 3 s and 2 s, and the two
+        # after them well over ten seconds
+        (_K5_ONE_SUM, _ucr_status),
+        (_K5_ONE_SUM, lambda g, budget: decide_uncrossed_cost(g, 3, 8, budget).verdict),
         (complete_bipartite(3, 5), _ucr_status),
         (complete(7), lambda g, budget: decide_uncrossed_cost(g, 3, 27, budget).verdict),
         # the lazy walk of cr's first level, C(105, 6) sets, reads it too
