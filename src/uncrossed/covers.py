@@ -211,11 +211,15 @@ class PairColours:
         ]
         self._colour_ids: dict[tuple, int] = {}
         self._pair_colour: dict[tuple[int, int, int], int] = {}
-        self.matrix = [[0] * g.n for _ in range(g.n)]  # 0: no edge joins the pair
-        self.matrix = self._recoloured(dict.fromkeys(self._pair_edges, 0))
-        self.colour = _refine(self.matrix, [0] * g.n)
-        # refinement separating every vertex means Aut(G) is trivial
-        self._symmetric = len(set(self.colour)) < g.n
+        # a vertex order is bytes, so above 256 vertices there are no forms
+        # and no n x n matrix, as for a trivial Aut(G)
+        self._symmetric = False
+        if g.n <= 256:
+            self.matrix = [[0] * g.n for _ in range(g.n)]  # 0: no edge joins the pair
+            self.matrix = self._recoloured(dict.fromkeys(self._pair_edges, 0))
+            self.colour = _refine(self.matrix, [0] * g.n)
+            # refinement separating every vertex means Aut(G) is trivial
+            self._symmetric = len(set(self.colour)) < g.n
 
     def _recoloured(self, marks: dict[tuple[int, int], int]) -> list[list[int]]:
         """A copy of :attr:`matrix` recoloured at each pair of ``marks``,
@@ -236,8 +240,9 @@ class PairColours:
         """(form, order): the least pair-colour matrix of the labelled G and
         a vertex order reading it off, so entry (i, j) of the form is the
         pair colour of ``order[i]`` and ``order[j]``.  None when Aut(G) is
-        trivial (no other labelling can be equivalent) or the refined cells
-        allow more than :data:`MAX_LABELLINGS` labellings.
+        trivial (no other labelling can be equivalent), G has more than 256
+        vertices or the refined cells allow more than :data:`MAX_LABELLINGS`
+        labellings.
 
         Vertex colours are refined from G's until they stop splitting; the
         minimum runs over every labelling that keeps the cells in order.
@@ -309,7 +314,6 @@ class RealizabilityContext:
         # (parent form, positions of the added edge's ends in the parent's
         # order, its weight) -> (child form, child order as parent positions)
         self.steps: dict[tuple, tuple] = {}
-        self._pack = bytes if g.n <= 256 else tuple  # vertex orders, compactly
 
     def feasible(self, part: frozenset[int]) -> bool | None:
         """Realizability of ``part`` as True, False or None (unknown).
@@ -334,7 +338,7 @@ class RealizabilityContext:
 
     def _form(self, part: frozenset[int]):
         """:meth:`PairColours.form` of ``part`` labelled 1 with the order
-        packed, or None; read from :attr:`steps` when ``part - {e}`` is known.
+        as bytes, or None; read from :attr:`steps` when ``part - {e}`` is known.
 
         Canonical augmentation (McKay 1998): the orders of two parents with
         one form differ by an automorphism of G carrying one parent onto the
@@ -354,14 +358,14 @@ class RealizabilityContext:
             found = self.colours.form(dict.fromkeys(part, 1))
             if found is not None:
                 form, order = found
-                found = form, self._pack(order if step is None else map(parent_order.index, order))
+                found = form, bytes(order if step is None else map(parent_order.index, order))
             if step is None:
                 return found
             self.steps[step] = found  # the child's order as positions in the parent's
         found = self.steps[step]
         if found is None:
             return None
-        return found[0], self._pack(map(parent_order.__getitem__, found[1]))
+        return found[0], bytes(map(parent_order.__getitem__, found[1]))
 
     # -- cheap necessary conditions ------------------------------------
 
@@ -376,10 +380,6 @@ class RealizabilityContext:
         Pairs joining different components are always addable (draw the
         components side by side with the endpoints outward), so only pairs
         inside one component are tested, in sorted order.
-
-        :meth:`realizable` no longer calls it: the walk of :meth:`profiles`
-        prunes on the same pairs.  It stays only because the benchmark's
-        tracer (``perfbench/tracing.py``) wraps it by name.
         """
         for u, v in pairs:
             cu = comp_of.get(u)
@@ -448,7 +448,9 @@ class RealizabilityContext:
         its inside pairs, and :func:`_arrange_components` looks for one
         choice per component and a nesting that meets the :func:`_needs`
         of the pairs between components and of the isolated vertices.
-        "unknown" means the walk's node budget ran out.
+        A component :meth:`profiles` leaves undecided (the degree rule or
+        the walk's node budget) is "no" when :meth:`pairs_insertable`
+        fails, and "unknown" otherwise.
         """
         g = self.g
         s = frozenset(edge_ids)
@@ -474,6 +476,8 @@ class RealizabilityContext:
         for (vs, es), inside in zip(comps, within):
             found = self.profiles(vs, es, inside)
             if found is None:
+                if not self.pairs_insertable(skel, pairs, comp_of):
+                    return RealizabilityResult("no")
                 return RealizabilityResult("unknown")
             if not found:
                 return RealizabilityResult("no")

@@ -503,11 +503,10 @@ def is_planar(g: WeightedMultigraph) -> PlanarityResult:
     K5 or K33 and is minimal: removing any one edge makes it planar.
     """
     h = _nx_incidence_graph(g)
-    planar, cert = nx.check_planarity(h, counterexample=False)
+    planar, cert = nx.check_planarity(h, counterexample=True)
     if not planar:
-        bad = nx.algorithms.planarity.get_counterexample(h)
         witness = set()
-        for a, b in bad.edges():
+        for a, b in cert.edges():
             mid = a if isinstance(a, tuple) else b
             witness.add(mid[1])
         return PlanarityResult(False, None, frozenset(witness))
@@ -615,10 +614,15 @@ def _reflect_rotation(rotation: tuple[tuple[int, ...], ...]) -> tuple[tuple[int,
 
 
 def enumerate_embeddings(g: WeightedMultigraph, max_edges: int = DEFAULT_EDGE_CAP):
-    """Yield every combinatorial embedding of planar g, up to reflection.
+    """Yield every combinatorial embedding of planar g, up to reflecting
+    each component on its own.
 
     Covers all rotation systems, all outer-face choices and all nestings of
-    components and isolated vertices, in a deterministic order.  Raises
+    components and isolated vertices, in a deterministic order.  Each
+    component's rotations are taken up to its own mirror image, so two or
+    more components with a vertex of degree >= 3 yield fewer embeddings
+    than "up to one global reflection" would (two disjoint K4s: 112, not
+    224); face vertex sets and nestings are all still covered.  Raises
     PreconditionError on nonplanar input and ResourceExceededError beyond
     the configured caps.
     """

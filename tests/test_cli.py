@@ -211,19 +211,31 @@ def test_thickness_of_a_large_hex_grid(tmp_path, capsys):
     assert code == 0 and kv["thickness"] == "1"
 
 
-def test_running_out_of_memory_exits_unknown(tmp_path):
-    # the solvers' set-up holds an n x n table: 20,000 vertices cannot fit
-    # under a 256 MiB address-space cap, and that is no answer of "no"
-    save_graph(tmp_path / "g.txt", WeightedMultigraph(20_000, ((0, 1, 1),)))
-    proc = run_python(
+def _solve_under_256_mib(tmp_path, g, mode):
+    save_graph(tmp_path / "g.txt", g)
+    return run_python(
         "import resource, sys\n"
         "from uncrossed.cli import main\n"
         "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
-        "sys.exit(main(['solve', '--mode', 'thickness', '--input', 'g.txt']))\n",
+        f"sys.exit(main(['solve', '--mode', '{mode}', '--input', 'g.txt']))\n",
         timeout=60, cwd=tmp_path,
     )
+
+
+def test_running_out_of_memory_exits_unknown(tmp_path):
+    # the drawing search holds a table of independent edge pairs: the 4,950
+    # edges of K100 cannot fit under a 256 MiB address-space cap, and that
+    # is no answer of "no"
+    proc = _solve_under_256_mib(tmp_path, complete(100), "cr")
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == "error: out of memory\n" and proc.stdout == ""
+
+
+def test_thickness_of_20000_vertices_fits_in_256_mib(tmp_path):
+    # above 256 vertices there are no canonical forms and no n x n matrix
+    proc = _solve_under_256_mib(tmp_path, WeightedMultigraph(20_000, ((0, 1, 1),)), "thickness")
+    assert proc.returncode == 0, proc.stderr
+    assert "thickness=1" in proc.stdout.splitlines()
 
 
 def test_gen_families(tmp_path, capsys):
@@ -250,6 +262,14 @@ def test_solve_ucr_of_heavy_cycle_m5(tmp_path, capsys):
     code, kv = run(capsys, "solve", "--mode", "ucr", "--budget", "10", "--input", g)
     assert code == 0
     assert (kv["status"], kv["ucr"], kv["ounc"]) == ("exact", "30", "5")
+
+
+def test_solve_ucr_budget_inside_the_shrink_step_exits_2(tmp_path, capsys):
+    g = str(tmp_path / "g.txt")
+    assert run(capsys, "gen", "heavy-cycle", "3", "--out", g)[0] == 0
+    code, kv = run(capsys, "solve", "--mode", "ucr", "--max-nodes", "20", "--input", g)
+    assert code == 2 and kv["status"] == "unknown"
+    assert (kv["lower_bound"], kv["upper_bound"]) == ("3", "3")
 
 
 def test_gen_to_stdout_reads_back_as_a_graph(capsys):
@@ -304,6 +324,7 @@ def test_negative_budget_limits_exit_3(tmp_path, capsys, extra):
     [
         ["verify", "--input", "k5.txt", "--witness", "five.json"],
         ["verify", "--input", "k5.txt", "--witness", "null.json"],
+        ["verify", "--input", "k5.txt", "--witness", "brace.json"],
         ["solve", "--mode", "cr", "--input", "latin1.txt"],
         ["verify", "--input", "k5.txt", "--witness", "latin1.txt"],
         ["solve", "--mode", "cr", "--input", "dir"],
@@ -313,7 +334,8 @@ def test_negative_budget_limits_exit_3(tmp_path, capsys, extra):
         ["render", "--witness", "w.json", "--out", "k5.txt"],
     ],
     ids=[
-        "witness-number", "witness-null", "input-not-utf8", "witness-not-utf8", "input-dir",
+        "witness-number", "witness-null", "witness-not-json", "input-not-utf8", "witness-not-utf8",
+        "input-dir",
         "verify-witness-dir", "gen-out-dir", "solve-witness-dir", "render-out-file",
     ],
 )
@@ -323,6 +345,7 @@ def test_unusable_path_exits_3(tmp_path, capsys, monkeypatch, argv):
     run(capsys, "solve", "--mode", "ucrk", "--c", "2", "--k", "2", "--input", "k5.txt", "--witness", "w.json")
     (tmp_path / "five.json").write_text("5")
     (tmp_path / "null.json").write_text("null")
+    (tmp_path / "brace.json").write_text("{")
     (tmp_path / "latin1.txt").write_bytes("5 0\n# K\xf6nig\n".encode("latin-1"))
     (tmp_path / "dir").mkdir()
     assert main(argv) == 3

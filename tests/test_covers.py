@@ -676,6 +676,26 @@ def test_profiles_walk_matches_first_systems_of_the_rotation_product(comp, name,
         assert RealizabilityContext(g).profiles(vertices, edges, within) == want
 
 
+def _cube_with_leaves(extra):
+    """A cube on 0-7 (edges join ids one bit apart) with 11 leaves on
+    vertex 0, which is S, and G = S plus the edge ``extra``."""
+    cube = [(u, u | bit) for u in range(8) for bit in (1, 2, 4) if not u & bit]
+    s = cube + [(0, leaf) for leaf in range(8, 19)]
+    return graph_from_edges(19, s + [extra]), range(len(s))
+
+
+@pytest.mark.parametrize("want_certificate", [False, True])
+@pytest.mark.parametrize("extra, status", [((1, 6), "no"), ((0, 3), "unknown")])
+def test_degree_rule_answers_no_when_a_pair_is_not_insertable(extra, status, want_certificate):
+    # vertex 0 has degree 14, so the degree rule leaves the component
+    # undecided; the cube plus its long diagonal 1-6 is nonplanar, so that
+    # pair can never share a face, while the face diagonal 0-3 can
+    g, s = _cube_with_leaves(extra)
+    ctx = RealizabilityContext(g)
+    assert ctx.realizable(s, want_certificate=want_certificate).status == status
+    assert ctx.nodes_spent == 0
+
+
 def test_walk_past_the_rotation_budget_is_unknown(monkeypatch):
     # the walk decides this "no" of K7 in 44 nodes; under a budget of 30
     # (the degree rule allows 4 * 3! = 24) it runs out and must answer

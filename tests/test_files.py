@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from uncrossed.cli import main
 from uncrossed.files import (
     ParseError,
     load_graph,
@@ -45,6 +46,30 @@ def test_bad_weight_and_range():
         parse_graph_text("2 1\n0 2 1\n")
     with pytest.raises(ParseError):
         parse_graph_text("2 2\n0 1 1\n")  # wrong edge count
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("# only a comment\n\n", None, "empty graph file"),
+        ("3\n", 1, "expected header"),
+        ("# K3\n3 x\n", 2, "header values must be integers"),
+        ("3 -1\n", 1, "header values must be nonnegative"),
+        ("3 1\n0 1\n", 2, "expected edge line"),
+        ("3 2\n0 1 1\n\n1 2 heavy\n", 4, "edge fields must be integers"),
+    ],
+    ids=["empty", "header-fields", "header-not-integer", "header-negative",
+         "edge-fields", "edge-not-integer"],
+)
+def test_malformed_graph_file(tmp_path, capsys, text, line, message):
+    # a ParseError at its line, and exit 3 with one error line from solve
+    with pytest.raises(ParseError, match=message) as err:
+        parse_graph_text(text)
+    assert err.value.line == line
+    (tmp_path / "g.txt").write_text(text)
+    assert main(["solve", "--mode", "cr", "--input", str(tmp_path / "g.txt")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {err.value}\n" and captured.out == ""
 
 
 def test_graph_round_trip(tmp_path):

@@ -122,6 +122,11 @@ def test_enumerate_embeddings_counts(triangle):
     )
     assert len(list(enumerate_embeddings(two_triangles))) == 6
     assert len(list(enumerate_embeddings(complete(4)))) == 4
+    # each component is reflected on its own: 112, where one global
+    # reflection of the full rotation product would leave 224
+    k4_edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    two_k4s = graph_from_edges(8, k4_edges + [(u + 4, v + 4) for u, v in k4_edges])
+    assert len(list(enumerate_embeddings(two_k4s))) == 112
 
 
 def test_enumerate_embeddings_deterministic(k4):

@@ -333,6 +333,17 @@ def test_ucr_budget_keeps_the_proven_level(nodes, lower_bound):
     assert res.lower_bound == lower_bound
 
 
+def test_ucr_budget_inside_the_shrink_step_keeps_the_proven_cost():
+    # 20 nodes find the least plan of cost 3 (three drawings) and run out
+    # while looking for two: the cost is proven, the drawing count is not
+    g = heavy_cycle_with_diameters(3)
+    res = uncrossed_crossing_number(g, SearchBudget(max_nodes=20))
+    assert (res.status, res.ucr, res.ounc) == ("unknown", 3, None)
+    assert (res.lower_bound, res.upper_bound) == (3, 3)
+    assert len(res.witness.drawings) == 3 and res.witness.declared_cost == 3
+    assert verify_collection(g, res.witness).accepted
+
+
 def _weighted_k33():
     k33 = complete_bipartite(3, 3)
     return WeightedMultigraph(6, tuple((u, v, i % 3 + 1) for i, (u, v, _) in enumerate(k33.edges)))
