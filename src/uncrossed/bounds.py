@@ -50,8 +50,9 @@ def thickness(g: WeightedMultigraph, budget: SearchBudget = NO_BUDGET) -> CoverR
 def outerthickness(g: WeightedMultigraph, budget: SearchBudget = NO_BUDGET) -> CoverResult:
     """Least number of outerplanar subgraphs covering G, exactly.
 
-    A part is outerplanar iff the part plus an apex vertex joined to every
-    vertex it touches is planar (vertices outside the part are irrelevant).
+    Each part is tested by :func:`~uncrossed.planarity.skeleton_outerplanar`,
+    a 2-reduction that runs no planarity test (vertices outside the part are
+    irrelevant).
     """
 
     def outerplanar_part(part: frozenset[int]) -> bool:

@@ -1,8 +1,10 @@
 """Planarity and outerplanarity decision, embeddings and face enumeration.
 
 The planarity verdict comes from the iterative left-right kernel in
-``_lrtest``; networkx only supplies the embeddings and Kuratowski witnesses
-of ``is_planar`` and the single rotation of ``covers._single_lr_rotation``.
+``_lrtest``, the outerplanarity verdict from a 2-reduction over vertices of
+degree at most two (``skeleton_outerplanar``); networkx only supplies the
+embeddings and Kuratowski witnesses of ``is_planar`` and the single rotation
+of ``covers._single_lr_rotation``.
 Everything combinatorial on top of them (rotation systems, face walks,
 nesting of components, exhaustive embedding enumeration, and the walk over
 partial plane embeddings that realizability queries use) lives here.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import networkx as nx
@@ -50,13 +53,78 @@ def graph_planar(g: WeightedMultigraph) -> bool:
     return skeleton_planar(g.skeleton())
 
 
-def skeleton_outerplanar(skeleton: frozenset[tuple[int, int]]) -> bool:
-    """Outerplanarity of a simple graph on vertex ids >= 0.
+def skeleton_outerplanar(skeleton: frozenset[tuple]) -> bool:
+    """Outerplanarity of a simple graph given as a set of endpoint pairs.
 
-    Decided as planarity of the graph plus an apex, labelled -1, joined to
-    every vertex an edge touches (vertices no edge touches are irrelevant).
+    Vertex labels may be any hashables.  A 2-reduction (Mitchell, IPL 1979;
+    Wiegers, WG 1986) deletes vertices of degree <= 1 first, then a vertex v
+    of degree 2 with neighbours u, w, raising t(uw), the triangles reduced
+    onto uw; t(uw) = 3 is a K2,3 minor.  A saturated edge (t = 2) at v is a
+    K2,3 minor too when u and w are still joined without v; otherwise v is a
+    cut vertex and the saturated edge is dropped.  The graph is outerplanar
+    iff the reduction deletes every vertex.
     """
-    return skeleton_planar(skeleton | {(v, -1) for p in skeleton for v in p})
+    adj: defaultdict = defaultdict(dict)
+    for u, v in skeleton:
+        adj[u][v] = 0
+        adj[v][u] = 0
+    if adj and sum(map(len, adj.values())) > 4 * len(adj) - 6:  # m > 2n - 3
+        return False
+    ones = [v for v, nb in adj.items() if len(nb) == 1]
+    twos = [v for v, nb in adj.items() if len(nb) == 2]
+
+    def settle(x):
+        """File x again after it lost an edge."""
+        d = len(adj[x])
+        if d < 2:
+            ones.append(x)
+        elif d == 2:
+            twos.append(x)
+
+    while ones or twos:
+        v = (ones or twos).pop()
+        nb = adj.get(v)
+        if nb is None:
+            continue
+        if len(nb) < 2:
+            for u in nb:
+                del adj[u][v]
+                settle(u)
+            del adj[v]
+            continue
+        (u, tu), (w, tw) = nb.items()
+        if tu == 2 or tw == 2:
+            if _joined(adj, u, w, v):
+                return False
+            for x, t in ((u, tu), (w, tw)):
+                if t == 2:
+                    del nb[x], adj[x][v]
+                    settle(x)
+            settle(v)
+            continue
+        del adj[v], adj[u][v], adj[w][v]
+        t = adj[u].get(w)
+        if t == 2:  # a third triangle on uw
+            return False
+        adj[u][w] = adj[w][u] = 1 if t is None else t + 1
+        if t is not None:  # u and w each lost an edge
+            settle(u)
+            settle(w)
+    return not adj
+
+
+def _joined(adj, u, w, cut) -> bool:
+    """Whether u reaches w in the graph ``adj`` without the vertex ``cut``."""
+    seen = {u, cut}
+    stack = [u]
+    while stack:
+        for x in adj[stack.pop()]:
+            if x == w:
+                return True
+            if x not in seen:
+                seen.add(x)
+                stack.append(x)
+    return False
 
 
 @dataclass(frozen=True)

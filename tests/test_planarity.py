@@ -1,11 +1,17 @@
 import itertools
 import math
+import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from networkx.generators.atlas import graph_atlas_g
 
+from uncrossed import planarity
+from uncrossed.bounds import outerthickness
 from uncrossed.core import ResourceExceededError, WeightedMultigraph, graph_from_edges
+from uncrossed.covers import RealizabilityContext
 from uncrossed.instances import complete, complete_bipartite, hex_grid
 from uncrossed.planarity import (
     components_of,
@@ -16,9 +22,10 @@ from uncrossed.planarity import (
     is_planar,
     kuratowski_is_valid,
     planar_rotations_of_component,
+    skeleton_outerplanar,
 )
 
-from conftest import atlas_graphs, brute_planar, cycle, run_python
+from conftest import atlas_graphs, brute_planar, cycle, edge_id_map, run_python
 
 
 def test_k4_planar(k4):
@@ -105,11 +112,126 @@ def test_outerplanar_examples(k4):
 
 
 def test_outerplanar_iff_apex_planar():
-    for g in atlas_graphs(5):
+    for g in atlas_graphs(7):
         apex = g.n
         edges = list(g.edges) + [(v, apex, 1) for v in range(g.n)]
         apexed = WeightedMultigraph(g.n + 1, tuple(edges))
         assert is_outerplanar(g) == graph_planar(apexed)
+
+
+def apex_planar(pairs) -> bool:
+    """Outerplanarity the slow way: networkx planarity of the graph plus an
+    apex joined to every vertex an edge touches."""
+    h = nx.Graph(pairs)
+    apex = object()
+    h.add_edges_from((apex, v) for v in list(h))
+    return nx.check_planarity(h)[0]
+
+
+def test_outerplanar_reduction_matches_apex_on_atlas():
+    for h in graph_atlas_g():
+        pairs = frozenset(tuple(sorted(e)) for e in h.edges())
+        assert skeleton_outerplanar(pairs) == apex_planar(pairs), sorted(pairs)
+
+
+@st.composite
+def near_outerplanar_or_random(draw):
+    """A simple graph on at most 12 vertices: half of them a triangulated
+    polygon with some edges dropped, 0-2 random edges added and shuffled
+    labels; the other half random."""
+    n = draw(st.integers(2, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if not draw(st.booleans()):
+        return frozenset(p for p in pairs if draw(st.booleans()))
+    edges = {(i, (i + 1) % n) for i in range(n)}
+    polygons = [list(range(n))]
+    while polygons:
+        vs = polygons.pop()
+        if len(vs) >= 4:
+            k = draw(st.integers(2, len(vs) - 2))
+            edges.add((vs[0], vs[k]))
+            polygons += [vs[: k + 1], [vs[0]] + vs[k:]]
+    edges = {e for e in edges if draw(st.integers(0, 4))}  # drop about one in five
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2)))
+    label = draw(st.permutations(range(n)))
+    return frozenset(tuple(sorted((label[u], label[v]))) for u, v in edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_outerplanar_or_random())
+def test_outerplanar_reduction_matches_apex_on_random_graphs(pairs):
+    assert skeleton_outerplanar(pairs) == apex_planar(pairs)
+
+
+# two triangles on edge 2-3 plus three pendant edges: deleting a degree-2
+# vertex before the pendant ones, with no cut-vertex case, rejects it
+TRIANGLES_WITH_PENDANTS = ((0, 2), (0, 3), (1, 2), (2, 3), (2, 5), (3, 4), (3, 5), (5, 6))
+# K2,3 plus the edge between its poles 0 and 1: without the saturation test
+# the reduction accepts it
+K23_WITH_POLE_EDGE = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4))
+# edge 0-1 with two triangles on it, a triangle at 1, and a bridge 0-6 to a
+# triangle: in about one labelling in twelve, 0 has degree 2 with 0-1
+# saturated while both triangles are still there (the cut-vertex case)
+SATURATED_CUT_VERTEX = (
+    (0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (1, 4), (4, 5), (1, 5),
+    (0, 6), (6, 7), (7, 8), (6, 8),
+)
+
+
+@pytest.mark.parametrize("pairs, outer", [
+    (TRIANGLES_WITH_PENDANTS, True),
+    (K23_WITH_POLE_EDGE, False),
+    (SATURATED_CUT_VERTEX, True),
+    (tuple(itertools.combinations(range(4), 2)), False),
+    (tuple((u, v) for u in range(2) for v in range(2, 5)), False),
+    (((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)), True),
+    ((), True),
+    (((0, 1),), True),
+])
+def test_outerplanar_named_cases_under_many_labellings(pairs, outer):
+    """The reduction order follows the labels, so each case runs under
+    the identity and 1,000 seeded random relabellings."""
+    assert apex_planar(pairs) == outer
+    vertices = sorted({v for p in pairs for v in p})
+    rng = random.Random(0)
+    for i in range(1001):
+        perm = vertices[:]
+        if i:
+            rng.shuffle(perm)
+        label = dict(zip(vertices, perm))
+        relabelled = frozenset(tuple(sorted((label[u], label[v]))) for u, v in pairs)
+        assert skeleton_outerplanar(relabelled) == outer, relabelled
+
+
+def test_outerplanar_takes_any_vertex_labels():
+    # outerplanar; an apex labelled -1 used to merge with vertex -1
+    assert skeleton_outerplanar(frozenset({(-1, 2), (0, 1), (0, 2), (0, 3), (1, 3), (2, 3)}))
+    big = 10**30
+    fan = {(big, big + i) for i in range(1, 6)} | {(big + i, big + i + 1) for i in range(1, 5)}
+    assert skeleton_outerplanar(frozenset(fan))
+    assert not skeleton_outerplanar(frozenset(fan | {(big + 1, big + 5)}))
+    k4 = frozenset(itertools.combinations("abcd", 2))
+    assert not skeleton_outerplanar(k4)
+    assert skeleton_outerplanar(k4 - {("a", "c")})
+    mixed = frozenset({(-1, "x"), ("x", big), (big, -1), (-1, (0, 1))})
+    assert skeleton_outerplanar(mixed) == apex_planar(mixed) is True
+
+
+def test_outerplanarity_runs_no_planarity_test(monkeypatch):
+    calls = []
+    lr_planar = planarity.lr_planar
+    monkeypatch.setattr(planarity, "lr_planar", lambda s: calls.append(s) or lr_planar(s))
+    entries = len(planarity._skeleton_cache)
+    k7 = complete(7)
+    assert outerthickness(k7).value == 3
+    assert calls == [] and len(planarity._skeleton_cache) == entries
+    # one realizability query on a set that is not outerplanar: at most the
+    # planarity check of (V, S)
+    k5 = complete(5)
+    ids = edge_id_map(k5)
+    k23 = [ids[u, v] for u in range(2) for v in range(2, 5)]
+    assert RealizabilityContext(k5).realizable(k23).status == "yes"
+    assert len(calls) <= 1
 
 
 def test_enumerate_embeddings_counts(triangle):
