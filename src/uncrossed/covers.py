@@ -55,7 +55,6 @@ from .planarity import (
     component_faces,
     components_of,
     hosting_rotations,
-    planar_rotations_of_component,
     rotation_from_succ,
     skeleton_outerplanar,
     skeleton_planar,
@@ -394,13 +393,14 @@ class RealizabilityContext:
 
         Entries are (succ, faces), one per face vertex-set family.  Trees
         and simple 3-connected components have one family and take one
-        rotation: a tree the enumerator's first (every vertex's darts in
-        sorted order), a 3-connected component the LR one.  Any other
-        component takes :func:`~uncrossed.planarity.hosting_rotations`,
-        which walks its partial plane embeddings and keeps, per family,
-        the system ``planar_rotations_of_component(..., half=True)``
-        yields first, in that order; so entries, arrangements and
-        certificates are those of the rotation product.  Every node of the
+        rotation: a tree every vertex's darts in increasing order, built
+        directly (any rotation of a tree is plane), a 3-connected component
+        the LR one.  Any other component takes
+        :func:`~uncrossed.planarity.hosting_rotations`, which walks its
+        partial plane embeddings and keeps, per family, the system that
+        the reference product ``planar_rotations_of_component(...,
+        half=True)`` yields first, in that order; so entries, arrangements
+        and certificates are those of the rotation product.  Every node of the
         walk reads the clock and counts against :data:`ROTATION_BUDGET`;
         past it the result is None.  A component for the walk is None at
         once when a vertex of degree d has d * (d-1)! > ROTATION_BUDGET, a rule kept
@@ -419,7 +419,13 @@ class RealizabilityContext:
         if tree or (len(edges) == len(g.skeleton(edges)) and _three_connected(g, vertices, edges)):
             if self._visit():
                 if tree:
-                    succ = list(next(planar_rotations_of_component(g, vertices, edges)))
+                    at = {v: [] for v in vertices}
+                    for d in sorted(2 * e + k for e in edges for k in (0, 1)):
+                        at[g.edges[d >> 1][d & 1]].append(d)
+                    succ = [0] * (2 * g.m)
+                    for ds in at.values():
+                        for d, nxt in zip(ds, ds[1:] + ds[:1]):
+                            succ[d] = nxt
                 else:
                     succ = _single_lr_rotation(g, vertices, edges)
                 faces = component_faces(g, vertices, edges, succ)

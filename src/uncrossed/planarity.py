@@ -215,25 +215,18 @@ def rotation_from_succ(g: WeightedMultigraph, vertices, edges, succ) -> dict[int
 
 
 def _orbit_walks(darts: list[int], succ: dict[int, int]) -> list[tuple[int, ...]]:
-    """Orbits of d -> succ[d ^ 1], i.e. the face walks of a rotation."""
+    """Orbits of d -> succ[d ^ 1], i.e. the face walks of a rotation.  With
+    ``darts`` sorted, each walk starts at its least dart."""
     seen: set[int] = set()
     walks = []
     for start in darts:
-        if start in seen:
-            continue
-        walk = []
-        d = start
-        while d not in seen:
-            seen.add(d)
-            walk.append(d)
-            d = succ[d ^ 1]
-        walks.append(_canonical_walk(walk))
+        if start not in seen:
+            walk = [d := start]
+            while (d := succ[d ^ 1]) != start:
+                walk.append(d)
+            seen.update(walk)
+            walks.append(tuple(walk))
     return walks
-
-
-def _canonical_walk(walk: list[int]) -> tuple[int, ...]:
-    k = walk.index(min(walk))
-    return tuple(walk[k:] + walk[:k])
 
 
 def planar_rotations_of_component(
@@ -250,92 +243,52 @@ def planar_rotations_of_component(
     copy it if they keep it past the next step.  With ``half`` the systems
     come up to reflection (the cyclic order at one anchor vertex is fixed
     in one direction), which is enough whenever only face vertex sets
-    matter.  ``rotation_cap`` bounds the size of the rotation product
-    (systems before pruning); a larger product raises
-    ResourceExceededError before anything is yielded.
+    matter.  ``rotation_cap`` bounds the size of the rotation product; a
+    larger product raises ResourceExceededError before anything is yielded.
 
-    Vertices get their rotations in order, each cyclic order built as it
-    is tried, so the first system (every vertex's darts in sorted order,
-    when genus zero) needs none of the others.  Faces are traced while
-    they do: the face step ``d -> succ[d ^ 1]`` is fixed once the vertex
-    ``d`` enters is assigned, so the fixed steps form chains of darts, and
-    a step that joins a chain's end to its own start closes a face.  An
-    open chain that starts and ends at one unassigned vertex (a *loop*)
-    may still close alone; any other face still to close needs at least
-    two open chains.  A subtree whose bound
-    ``closed + loops + others // 2`` falls short of Euler's face count is
-    skipped; it holds no genus-zero leaf, so the systems come in the same
-    order as a plain product with a leaf test.
+    This is the plain product, the slow reference for
+    :func:`hosting_rotations`: vertices take their cyclic orders in
+    ``vertices`` order, each as (least dart, *rest) with ``rest`` in
+    ``itertools.permutations`` order and built only when it is tried, and a
+    system is yielded when it has the 2 - n + m faces Euler's formula asks
+    for.  So the first system (every vertex's darts in sorted order, when
+    genus zero) needs none of the others.
     """
     at_vertex = _darts_at(g, vertices, edges)
-    n_c, m_c = len(vertices), len(edges)
-    if m_c == 0:
+    if not edges:
         yield {}
         return
 
     anchor = next((v for v in vertices if len(at_vertex[v]) >= 3), None)
-    size = 2 * g.m
-    tail = [0] * size  # position of the vertex a dart leaves
-    head = [0] * size  # position of the vertex a dart enters
-    own_darts: list[list[int]] = []
-    open_after: list[int] = []  # open chains once positions 0..i are assigned
-    remaining = 2 * m_c
     total = 1
-    for i, v in enumerate(vertices):
-        ds = sorted(at_vertex[v])
-        for d in ds:
-            tail[d] = i
-            head[d ^ 1] = i
-        total *= math.factorial(len(ds) - 1) // (2 if half and v == anchor else 1)
+    for v in vertices:
+        total *= math.factorial(len(at_vertex[v]) - 1) // (2 if half and v == anchor else 1)
         if rotation_cap is not None and total > rotation_cap:
             raise ResourceExceededError(
                 f"rotation enumeration would try {total} systems (cap {rotation_cap})"
             )
-        own_darts.append(ds)
-        remaining -= len(ds)
-        open_after.append(remaining)
 
-    succ: list[int] = [0] * size
-    target = 2 - n_c + m_c  # faces required by Euler's formula
-    last = n_c - 1
-
-    def assign(i: int, start_of: list[int], end_of: list[int], closed: int, loops: int):
-        first, *later = own_darts[i]
-        # loops at this vertex are consumed by its steps whatever its rotation
-        for s in own_darts[i]:
-            if head[end_of[s]] == i:
-                loops -= 1
-        open_chains = open_after[i]
-        flip = half and vertices[i] == anchor
+    def cycles(v: int):
+        first, *later = sorted(at_vertex[v])
         for rest in itertools.permutations(later):
-            if flip and rest[0] > rest[-1]:
-                continue  # the reflection of a kept cycle
-            starts = start_of[:]
-            ends = end_of[:]
-            c, lp = closed, loops
-            d = first
-            for nxt in rest + (first,):  # the cycle's steps d -> nxt
-                succ[d] = nxt
-                a = starts[d ^ 1]
-                d = nxt
-                if a == nxt:
-                    c += 1
-                    continue
-                b = ends[nxt]
-                ends[a] = b
-                starts[b] = a
-                t = tail[a]
-                if t == head[b] and t != i:
-                    lp += 1
-            if c + lp + (open_chains - lp) // 2 < target:
-                continue
-            if i == last:
-                yield succ
-            else:
-                yield from assign(i + 1, starts, ends, c, lp)
+            if not (half and v == anchor and rest[0] > rest[-1]):  # else a kept one's mirror
+                yield (first, *rest)
 
-    identity = list(range(size))
-    yield from assign(0, identity, identity[:], 0, 0)
+    darts = [d for ds in at_vertex.values() for d in ds]
+    target = 2 - len(vertices) + len(edges)  # faces required by Euler's formula
+    succ: list[int] = [0] * (2 * g.m)
+    tried = [cycles(vertices[0])]  # per assigned vertex, its cycles not yet tried
+    while tried:
+        cycle = next(tried[-1], None)
+        if cycle is None:
+            tried.pop()
+            continue
+        for d, nxt in zip(cycle, cycle[1:] + cycle[:1]):
+            succ[d] = nxt
+        if len(tried) < len(vertices):
+            tried.append(cycles(vertices[len(tried)]))
+        elif len(_orbit_walks(darts, succ)) == target:
+            yield succ
 
 
 def component_faces(
@@ -699,20 +652,21 @@ def enumerate_embeddings(g: WeightedMultigraph, max_edges: int = DEFAULT_EDGE_CA
     if not graph_planar(g):
         raise PreconditionError("embedding enumeration needs a planar graph")
     comps = components_of(g)
-    per_comp_rotations = []
-    for vs, es in comps:
-        snapshots = []
-        for succ in planar_rotations_of_component(
-            g, vs, es, rotation_cap=EMBEDDING_ROTATION_CAP, half=True
-        ):
-            snapshots.append(list(succ) if es else {})
-        per_comp_rotations.append(snapshots)
+    per_comp_rotations = [
+        [
+            rotation_from_succ(g, vs, es, succ)
+            for succ in planar_rotations_of_component(
+                g, vs, es, rotation_cap=EMBEDDING_ROTATION_CAP, half=True
+            )
+        ]
+        for vs, es in comps
+    ]
 
     seen: set = set()
     for rots in itertools.product(*per_comp_rotations):
         rotation: list[tuple[int, ...]] = [() for _ in range(g.n)]
-        for succ_c, (vs, es) in zip(rots, comps):
-            for v, cycle in rotation_from_succ(g, vs, es, succ_c).items():
+        for cycles in rots:
+            for v, cycle in cycles.items():
                 rotation[v] = cycle
         rotation_t = tuple(rotation)
         succ = _rotation_to_succ(rotation_t)

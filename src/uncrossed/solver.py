@@ -32,6 +32,7 @@ from .core import (
     subdivide,
 )
 from .covers import (
+    CoverResult,
     CoverSearch,
     RealizabilityContext,
     RealizabilityResult,
@@ -460,14 +461,18 @@ def uncrossed_number(g: WeightedMultigraph, budget: SearchBudget = NO_BUDGET) ->
     Realizability is tested on every partial part, so the search abandons
     a part as soon as no superset of it can be realizable.  When the
     budget runs out, the lower bound is the least drawing count that no
-    exhausted level has ruled out.  A cover whose certificates exceed the
+    exhausted level has ruled out.  A planar G with edges is one part, E,
+    taken without the search.  A cover whose certificates exceed the
     rotation budget or the wall clock is "unknown", with the cover's size
     as upper bound.
     """
     ctx = RealizabilityContext(g)
     cover = CoverSearch(g, ctx.feasible, budget)
     ctx.ticker = cover.ticker  # the certificates below read the same clock
-    out = cover.minimum()
+    if g.m and graph_planar(g):
+        out = CoverResult("exact", 1, 1, 1, (frozenset(range(g.m)),))
+    else:
+        out = cover.minimum()
     status, value, certificates = out.status, out.value, None
     if out.parts is not None:
         try:

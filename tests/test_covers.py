@@ -72,6 +72,14 @@ def test_empty_set_realizable(k5):
     assert certificate_is_valid(k5, res.certificate)
 
 
+def test_long_path_is_realizable_without_deep_recursion():
+    # a tree's rotation is built directly, with no frame per vertex
+    path = graph_from_edges(1500, [(v, v + 1) for v in range(1499)])
+    res = realizable_uncrossed_set(path, range(path.m))
+    assert res.status == "yes"
+    assert certificate_is_valid(path, res.certificate)
+
+
 @pytest.mark.parametrize("ids", [[-1], [10], [0, 10]])
 def test_out_of_range_edge_ids_are_rejected(k5, ids):
     with pytest.raises(PreconditionError):

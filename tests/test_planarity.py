@@ -251,6 +251,26 @@ def test_enumerate_embeddings_counts(triangle):
     assert len(list(enumerate_embeddings(two_k4s))) == 112
 
 
+def _wheel(k):
+    rim = [(v, v % k + 1) for v in range(1, k + 1)]
+    return graph_from_edges(k + 1, [(0, v) for v in range(1, k + 1)] + rim)
+
+
+@pytest.mark.parametrize("k", range(4, 8))
+def test_a_wheel_has_one_embedding_per_outer_face(k):
+    # W_k is 3-connected, so it has one embedding up to mirror image
+    # (Whitney); the embeddings differ only in their outer face, of which
+    # it has k + 1
+    assert len(list(enumerate_embeddings(_wheel(k)))) == k + 1
+
+
+@pytest.mark.parametrize("q", range(3, 7))
+def test_k2q_has_q_factorial_over_two_embeddings(q):
+    # the q paths between the poles in any cyclic order, up to reflection:
+    # (q-1)!/2 rotations, each with q faces to put outside
+    assert len(list(enumerate_embeddings(complete_bipartite(2, q)))) == math.factorial(q) // 2
+
+
 def test_enumerate_embeddings_deterministic(k4):
     a = [e.rotation for e in enumerate_embeddings(k4)]
     b = [e.rotation for e in enumerate_embeddings(k4)]

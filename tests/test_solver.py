@@ -20,18 +20,20 @@ from uncrossed.core import (
     make_drawing,
     planarize,
 )
-from uncrossed.covers import certificate_is_valid
+from uncrossed.covers import certificate_is_valid, realizable_uncrossed_set
 from uncrossed.instances import (
     Tile,
     complete,
     complete_bipartite,
     heavy_cycle_with_diameters,
+    hex_grid,
     k5_with_two_light_edges,
     tile_crossing_number,
 )
 from uncrossed.solver import (
     SearchBudget,
     UcrResult,
+    UncResult,
     _DrawingSearch,
     _plans_key,
     _witness_from_plans,
@@ -396,6 +398,32 @@ def test_weight_expansion_consistency():
 
 def test_unc_planar_is_one(k4):
     assert uncrossed_number(k4).value == 1
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        hex_grid(4)[0],
+        hex_grid(6)[0],
+        graph_from_edges(1500, [(v, v + 1) for v in range(1499)]),
+    ],
+    ids=["hex_grid(4)", "hex_grid(6)", "path1500"],
+)
+def test_unc_of_a_planar_graph_takes_e_without_the_search(g):
+    # hex_grid(6) and the long path were unknown under this clock when the
+    # cover search placed one edge per frame; E's certificate is the one
+    # realizability gives it
+    res = uncrossed_number(g, SearchBudget(wall_clock_seconds=10))
+    assert (res.status, res.value, res.lower_bound, res.upper_bound) == ("exact", 1, 1, 1)
+    assert (res.nodes, res.sets_tested) == (0, 0)
+    assert res.certificates == (realizable_uncrossed_set(g, range(g.m)).certificate,)
+    assert certificate_is_valid(g, res.certificates[0])
+
+
+def test_unc_of_an_edgeless_graph_is_one_drawing():
+    # no part and no certificate; the search's one node still counts
+    res = uncrossed_number(graph_from_edges(3, []))
+    assert res == UncResult("exact", 1, 1, 1, (), 0, 1)
 
 
 def test_unc_k5(k5):
@@ -849,15 +877,16 @@ def test_one_node_budget_decision_is_unknown(k6):
 
 
 def test_unc_is_unknown_when_a_certificate_exceeds_the_rotation_budget():
-    # the one part is outerplanar, but its certificate would enumerate the
-    # rotations of a degree-11 vertex; the rim edge keeps it from being a tree
+    # the one part is outerplanar, but the degree rule refuses its
+    # certificate at once: the hub has degree 11, and 11 * 10! exceeds the
+    # rotation budget; the rim edge keeps it from being a tree
     star = [(0, v) for v in range(1, 12)]
     res = uncrossed_number(graph_from_edges(12, star + [(1, 2)]))
     assert (res.status, res.lower_bound, res.upper_bound, res.certificates) == (
         "unknown", 1, 1, None
     )
-    # a tree has one face, so its certificate takes the enumerator's first
-    # rotation and never reaches the hub's other cycles
+    # a tree has one face, so its certificate takes its rotation directly
+    # (every vertex's darts in increasing order), whatever the hub's degree
     tree = graph_from_edges(12, star)
     res = uncrossed_number(tree)
     assert (res.status, res.value, len(res.certificates)) == ("exact", 1, 1)
@@ -866,8 +895,8 @@ def test_unc_is_unknown_when_a_certificate_exceeds_the_rotation_budget():
 
 def test_unc_certificates_respect_the_wall_clock():
     # the cover is one outerplanar part, found at once; its certificate
-    # enumerates the rotations of the degree-10 hub, which takes seconds,
-    # and the clock is read between every two of them
+    # walks the plane embeddings around the degree-10 hub, which takes
+    # seconds, and the walk reads the clock at every node
     star = [(0, v) for v in range(1, 11)]
     start = time.perf_counter()
     res = uncrossed_number(
