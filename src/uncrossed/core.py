@@ -264,48 +264,58 @@ def make_drawing(g: WeightedMultigraph, events, orders=None) -> DrawingWitness:
     return DrawingWitness(crossings=crossings, edge_orders=edge_orders)
 
 
-def chord_crossings(groups, parameter):
-    """Crossing events and per-edge orders of chords drawn inside regions.
+def _meet(a1, b1, a2, b2) -> Fraction:
+    """Abscissa where the semicircles on [a1, b1] and [a2, b2] cross."""
+    return Fraction(a2 * b2 - a1 * b1, a2 + b2 - a1 - b1)
 
-    Each group lists the chords that share one region as ``(eid, a, b,
-    ref_at_b)``: the edge, the boundary positions of its two ends, and
-    whether the edge's reference endpoint sits at ``b``.  Two chords of one
-    group cross when their ends interleave.  ``parameter(a1, b1, a2, b2)``
-    locates chord 1's crossing with chord 2, increasing from ``a1`` to
-    ``b1``.  Exact ties, where three chords meet in one point, are broken
-    by the same geometry with every position ``a`` moved to
-    ``a + a^2/10^9``, which separates the three crossings consistently.
-    Returns ``(events, orders)`` as :func:`make_drawing` takes them.
+
+def chord_drawing(g: WeightedMultigraph, regions) -> DrawingWitness:
+    """The drawing of chords laid out inside regions in convex position.
+
+    Each region lists its chords as ``(eid, a, b)``: the edge and the
+    nonnegative boundary positions of ``g.endpoints(eid)[0]`` and
+    ``g.endpoints(eid)[1]``.  Two chords of one region cross when their
+    ends interleave.  Each chord is a semicircle on ``[min(a, b), max(a,
+    b)]`` (straight chords of a conic give the same orders: both are
+    models of the hyperbolic plane) and meets the others in the order of
+    the crossings' abscissae, read from its reference endpoint.  Exact
+    ties, where three chords meet in one point, are broken by moving every
+    position ``a`` to ``a + a^2/10^9``.  Chords on equal positions are
+    drawn nested: their ids grow away from the side (inside or outside
+    their interval) where the chord of their first crossing starts.
     """
     events = []
     along: dict[int, list] = {}
-    ref_at_b = {}
-    for chords in groups:
-        for i, (e1, a1, b1, r1) in enumerate(chords):
-            ref_at_b[e1] = r1
-            lo1, hi1 = min(a1, b1), max(a1, b1)
-            for e2, a2, b2, _ in chords[i + 1 :]:
-                lo2, hi2 = min(a2, b2), max(a2, b2)
+    for chords in regions:
+        side = {}  # per interval of equal chords: do their ids grow from inside it
+        spans = [(e, a, b, min(a, b), max(a, b)) for e, a, b in chords]
+        for i, (e1, a1, b1, lo1, hi1) in enumerate(spans):
+            for e2, a2, b2, lo2, hi2 in spans[i + 1 :]:
                 if lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1:
                     events.append((e1, e2))
-                    spot1, spot2 = (a1, b1, a2, b2), (a2, b2, a1, b1)
-                    along.setdefault(e1, []).append((parameter(*spot1), spot1, e1, e2))
-                    along.setdefault(e2, []).append((parameter(*spot2), spot2, e1, e2))
+                    x = _meet(a1, b1, a2, b2)
+                    inside1 = side.setdefault((lo1, hi1), lo1 < a2 < hi1)
+                    inside2 = side.setdefault((lo2, hi2), lo2 < a1 < hi2)
+                    # each chord's rank along the other, read from its left foot
+                    rank1 = e1 if (lo1 < lo2 < hi1) == inside1 else -e1
+                    rank2 = e2 if (lo2 < lo1 < hi2) == inside2 else -e2
+                    along.setdefault(e1, []).append((x, rank2, (a1, b1, a2, b2)))
+                    along.setdefault(e2, []).append((x, rank1, (a2, b2, a1, b1)))
     orders = {}
     for eid, hits in along.items():
-        if len(hits) < 2:
-            continue
-        hits.sort(key=lambda h: h[0])
+        hits.sort()
         ordered = []
         for _, run in itertools.groupby(hits, key=lambda h: h[0]):
             run = list(run)
             if len(run) > 1:
-                run.sort(key=lambda h: parameter(*(x + Fraction(x * x, 10**9) for x in h[1])))
+                run.sort(key=lambda h: _meet(*(p + Fraction(p * p, 10**9) for p in h[2])))
             ordered += run
-        if ref_at_b[eid]:
+        u, v = g.endpoints(eid)
+        a, b = hits[0][2][:2]
+        if (a < b) != (u < v):  # the reference endpoint is the right foot
             ordered.reverse()
-        orders[eid] = [(e, f) for _, _, e, f in ordered]
-    return events, orders
+        orders[eid] = [(eid, abs(rank)) for _, rank, _ in ordered]
+    return make_drawing(g, events, orders)
 
 
 def subdivide(g: WeightedMultigraph, s: int) -> WeightedMultigraph:

@@ -9,7 +9,6 @@ files stay stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import networkx as nx
 
@@ -19,8 +18,7 @@ from .core import (
     PreconditionError,
     SearchBudget,
     WeightedMultigraph,
-    chord_crossings,
-    make_drawing,
+    chord_drawing,
 )
 from .planarity import is_planar
 from .solver import crossing_number
@@ -102,43 +100,27 @@ def rotating_path_collection(n: int) -> CollectionWitness:
     Each drawing lays one path on a horizontal line and draws every other
     edge as a semicircle above or below it, the page chosen by the parity
     of the left endpoint's position.  Rotating the path ceil(n/2) times
-    covers every edge, and crossings follow combinatorially from the
-    two-page layout (orders from exact arc-intersection coordinates).
-    From n = 13 on, three semicircles can pass through one point; such
-    triple points are resolved by moving every foot at position a to
-    a + a^2/10^9, as :func:`~uncrossed.core.chord_crossings` does.
+    covers every edge, and each page's crossings and their orders follow
+    from :func:`~uncrossed.core.chord_drawing`.  From n = 13 on, three
+    semicircles can pass through one point; the builder separates such
+    triple points.
     """
     if n < 5:
         raise PreconditionError("rotating_path_collection needs n >= 5")
     g = complete(n)
-    eid = {
-        (i, j): k
-        for k, (i, j, _) in enumerate(g.edges)
-    }
     base = _zigzag_path(n)
     drawings = []
     for s in range(-(-n // 2)):
         spine = [(v + s) % n for v in base]
         pos = {v: i + 1 for i, v in enumerate(spine)}  # 1-based positions
         pages: tuple[list, list] = ([], [])  # chords above and below the spine
-        for (u, v), e in eid.items():
+        for e, (u, v, _) in enumerate(g.edges):
             pu, pv = pos[u], pos[v]
-            if pu > pv:
-                pu, pv = pv, pu
-            if pv == pu + 1:
-                continue  # spine edge, drawn on the line
-            # x runs along the semicircle from its left foot
-            pages[pu % 2].append((e, pu, pv, pos[min(u, v)] != pu))
-        events, orders = chord_crossings(pages, _arc_crossing_x)
-        drawings.append(make_drawing(g, events, orders))
+            if abs(pu - pv) > 1:  # spine edges are drawn on the line
+                pages[min(pu, pv) % 2].append((e, pu, pv))
+        drawings.append(chord_drawing(g, pages))
     total = sum(d.cost(g) for d in drawings)
     return CollectionWitness(drawings=tuple(drawings), declared_cost=total)
-
-
-def _arc_crossing_x(a1, b1, a2, b2) -> Fraction:
-    c1, r1 = Fraction(a1 + b1, 2), Fraction(b1 - a1, 2)
-    c2, r2 = Fraction(a2 + b2, 2), Fraction(b2 - a2, 2)
-    return (r1 * r1 - r2 * r2 - c1 * c1 + c2 * c2) / (2 * (c2 - c1))
 
 
 def per_drawing_crossing_bound(n: int) -> int:

@@ -26,7 +26,7 @@ from .core import (
     Ticker,
     WeightedMultigraph,
     WitnessStructureError,
-    chord_crossings,
+    chord_drawing,
     make_drawing,
     planarize,
     subdivide,
@@ -39,7 +39,7 @@ from .covers import (
     UncrossedSetCertificate,
     realizable_uncrossed_set,
 )
-from .planarity import graph_planar, skeleton_planar
+from .planarity import dart_vertex, graph_planar, skeleton_planar
 
 __all__ = [
     "SearchBudget",
@@ -504,14 +504,11 @@ def collection_from_certificates(
 
     Each certificate's embedding is drawn as-is; every hosted edge becomes a
     chord of its hosting face, with the face boundary laid out in convex
-    position (on a rational parabola), so chords cross exactly when their
-    endpoints interleave and the planarization is planar by construction.
-    The result is not cost-optimal, only a valid uncrossed collection.
+    position (:func:`~uncrossed.core.chord_drawing`), so chords cross
+    exactly when their endpoints interleave and the planarization is planar
+    by construction.  The result is not cost-optimal, only a valid
+    uncrossed collection.
     """
-    from fractions import Fraction
-
-    from .planarity import dart_vertex
-
     if not certificates:  # edgeless graph: one crossing-free drawing
         return _trivial_planar_witness(g)
     drawings = []
@@ -532,27 +529,9 @@ def collection_from_certificates(
         for eid, fid in cert.hosting:
             seq = face_seq[fid]
             u, v, _ = g.edges[eid]
-            # the parameter runs from u's position; traversal order starts
-            # at the reference endpoint (the smaller vertex id)
-            chords.setdefault(fid, []).append(
-                (eid, Fraction(seq.index(u)), Fraction(seq.index(v)), v < u)
-            )
-        events, orders = chord_crossings(chords.values(), _parabola_parameter)
-        drawings.append(make_drawing(g, events, orders))
+            chords.setdefault(fid, []).append((eid, seq.index(u), seq.index(v)))
+        drawings.append(chord_drawing(g, chords.values()))
     return _verified_collection(g, drawings)
-
-
-def _parabola_parameter(a1, b1, a2, b2):
-    """Parameter along segment 1 of its crossing with segment 2, with both
-    segments chording the convex curve x -> (x, x^2)."""
-    ax, ay = a1, a1 * a1
-    bx, by = b1, b1 * b1
-    cx, cy = a2, a2 * a2
-    dx, dy = b2, b2 * b2
-    rx, ry = bx - ax, by - ay
-    sx, sy = dx - cx, dy - cy
-    denom = rx * sy - ry * sx
-    return ((cx - ax) * sy - (cy - ay) * sx) / denom
 
 
 # ---------------------------------------------------------------------------

@@ -374,6 +374,16 @@ def test_unc_witness_pipeline(tmp_path, capsys):
     assert code == 0 and kv["verdict"] == "accept"
 
 
+def test_unc_witness_of_a_doubled_edge(tmp_path, capsys):
+    g = complete(5)
+    save_graph(tmp_path / "g.txt", WeightedMultigraph(g.n, g.edges + ((0, 2, 1),)))
+    path, w = str(tmp_path / "g.txt"), str(tmp_path / "w.json")
+    code, kv = run(capsys, "solve", "--mode", "unc", "--input", path, "--witness", w)
+    assert code == 0 and kv["unc"] == "2" and kv["witness"] == w
+    code, kv = run(capsys, "verify", "--input", path, "--witness", w)
+    assert code == 0 and kv["verdict"] == "accept"
+
+
 def test_table_flag(tmp_path, capsys):
     k5 = str(tmp_path / "k5.txt")
     run(capsys, "gen", "complete", "5", "--out", k5)

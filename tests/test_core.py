@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -9,13 +11,14 @@ from uncrossed.core import (
     PreconditionError,
     WeightedMultigraph,
     WitnessStructureError,
+    chord_drawing,
     expand_weights,
     graph_from_edges,
     make_drawing,
     planarize,
     subdivide,
 )
-from uncrossed.instances import complete, k5_with_two_light_edges
+from uncrossed.instances import _zigzag_path, complete, k5_with_two_light_edges, rotating_path_collection
 from uncrossed.planarity import graph_planar
 
 from conftest import edge_id_map
@@ -201,3 +204,98 @@ def test_drawing_cost_uses_weight_products():
     d = make_drawing(g, [(ids[(0, 2)], ids[(1, 3)])])
     assert d.cost(g) == 9
     assert len(d.uncrossed_edges(g)) == g.m - 2
+
+
+# -- chord drawings: the semicircle rule against straight parabola chords ------
+
+
+def _parabola_key(ref, other, c, d):
+    """Parameter, from ``ref``, of the point where the straight chord of the
+    parabola x -> (x, x^2) from position ``ref`` to ``other`` meets the chord
+    on ``c, d``: exact, then with every position a moved to a + a^2/10^9."""
+
+    def along(p, q, r, s):
+        dx, dy = q - p, q * q - p * p
+        ex, ey = s - r, s * s - r * r
+        return ((r - p) * ey - (r * r - p * p) * ex) / (dx * ey - dy * ex)
+
+    spot = [Fraction(x) for x in (ref, other, c, d)]
+    return along(*spot), along(*(x + x * x / 10**9 for x in spot))
+
+
+def _check_against_parabolas(g, regions):
+    """Along every chord, from its reference endpoint, the drawing's events
+    follow the parabola model's order.  Only chords on equal positions may
+    stay tied there, and every chord crossing such copies meets them in one
+    nesting order, read from its end inside their interval.  Returns the
+    drawing."""
+    d = chord_drawing(g, regions)
+    met = {
+        e: [d.crossings[i].first + d.crossings[i].second - e for i in seq]
+        for e, seq in d.orders_map().items()
+    }
+    for chords in regions:
+        span = {e: (min(a, b), max(a, b)) for e, a, b in chords}
+
+        def cross(e, f):
+            (lo1, hi1), (lo2, hi2) = span[e], span[f]
+            return lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1
+
+        ends = {e: (a, b) if g.endpoints(e)[0] < g.endpoints(e)[1] else (b, a) for e, a, b in chords}
+        for e in span:
+            keys = {f: _parabola_key(*ends[e], *span[f]) for f in span if cross(e, f)}
+            got = met.get(e, [])
+            assert sorted(got) == sorted(keys)
+            assert [keys[f] for f in got] == sorted(keys.values()), e
+            assert all(span[f] == span[h] for f, h in zip(got, got[1:]) if keys[f] == keys[h])
+        for lo, hi in set(span.values()):
+            copies = {f for f in span if span[f] == (lo, hi)}
+            nestings = set()
+            for e in span:
+                if e not in copies and cross(e, min(copies)):
+                    seq = [f for f in met[e] if f in copies]
+                    nestings.add(tuple(seq if lo < ends[e][0] < hi else seq[::-1]))
+            assert len(nestings) <= 1, (lo, hi, nestings)
+    return d
+
+
+def _random_chord_region(rng):
+    """A k-gon with shuffled vertex labels, its boundary cycle, and up to 9
+    chords on a few position pairs (so some repeat and some share an end),
+    each stored with either endpoint first and listed in random order."""
+    k = rng.randint(4, 8)
+    label = rng.sample(range(k), k)
+    edges = [(label[i], label[(i + 1) % k], 1) for i in range(k)]
+    pairs = list(itertools.combinations(range(k), 2))
+    pool = rng.sample(pairs, rng.randint(2, min(6, len(pairs))))
+    chords = []
+    for _ in range(rng.randint(2, 9)):
+        p, q = rng.choice(pool)[:: rng.choice((1, -1))]
+        chords.append((len(edges), p, q))
+        edges.append((label[p], label[q], 1))
+    rng.shuffle(chords)
+    return WeightedMultigraph(k, tuple(edges)), chords
+
+
+def test_chord_drawing_matches_parabolas_on_random_regions():
+    rng = random.Random(28)
+    for _ in range(400):
+        g, chords = _random_chord_region(rng)
+        d = _check_against_parabolas(g, [chords])
+        # the chords stay inside the boundary cycle, so the drawing is plane
+        assert graph_planar(planarize(g, d))
+
+
+@pytest.mark.parametrize("n", range(13, 17))
+def test_chord_drawing_matches_parabolas_on_rotating_pages(n):
+    # from n = 13 on, the pages hold triple points that only the nudge separates
+    g = complete(n)
+    drawings = []
+    for s in range(-(-n // 2)):
+        pos = {(v + s) % n: i + 1 for i, v in enumerate(_zigzag_path(n))}
+        pages = ([], [])
+        for e, (u, v, _) in enumerate(g.edges):
+            if abs(pos[u] - pos[v]) > 1:
+                pages[min(pos[u], pos[v]) % 2].append((e, pos[u], pos[v]))
+        drawings.append(_check_against_parabolas(g, pages))
+    assert tuple(drawings) == rotating_path_collection(n).drawings

@@ -469,6 +469,23 @@ def test_collection_from_certificates(k5, k6):
         assert covered == set(range(g.m))
 
 
+@pytest.mark.parametrize(
+    "base, pair",
+    [(complete(5), (0, 2)), *((complete_bipartite(3, 3), p) for p in ((0, 5), (1, 4), (2, 3)))],
+    ids=["K5+(0,2)", "K3,3+(0,5)", "K3,3+(1,4)", "K3,3+(2,3)"],
+)
+def test_collection_with_a_doubled_edge_hosted_in_one_face(base, pair):
+    # both copies chord one face, and chords cross them from either side:
+    # the copies must be drawn nested for the planarization to stay planar
+    from uncrossed.solver import collection_from_certificates
+
+    g = WeightedMultigraph(base.n, base.edges + (pair + (1,),))
+    res = uncrossed_number(g)
+    w = collection_from_certificates(g, res.certificates)
+    assert len(w.drawings) == res.value
+    assert verify_collection(g, w).accepted
+
+
 def test_collection_from_certificates_small_sweep():
     from uncrossed.solver import collection_from_certificates
 
