@@ -39,8 +39,6 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .core import (
     NO_BUDGET,
     BudgetExhausted,
@@ -54,6 +52,7 @@ from .planarity import (
     build_embedding,
     component_faces,
     components_of,
+    forced_rotation,
     hosting_rotations,
     rotation_from_succ,
     skeleton_outerplanar,
@@ -97,31 +96,6 @@ def _three_connected(g: WeightedMultigraph, vertices, edges) -> bool:
             if len(seen) != len(vs):
                 return False
     return True
-
-
-def _single_lr_rotation(g: WeightedMultigraph, vertices, edges) -> list[int]:
-    """The unique (up to reflection) embedding of a 3-connected component."""
-    eid_of = {}
-    h = nx.Graph()
-    h.add_nodes_from(vertices)
-    for e in edges:
-        u, v, _ = g.edges[e]
-        h.add_edge(u, v)
-        eid_of[(u, v)] = e
-        eid_of[(v, u)] = e
-    ok, cert = nx.check_planarity(h, counterexample=False)
-    if not ok:
-        raise AssertionError("profiles() called on a nonplanar component")
-    order = cert.get_data()
-    succ = [0] * (2 * g.m)
-    for v in vertices:
-        darts = []
-        for w in order.get(v, []):
-            e = eid_of[(v, w)]
-            darts.append(2 * e + (0 if g.edges[e][0] == v else 1))
-        for i, d in enumerate(darts):
-            succ[d] = darts[(i + 1) % len(darts)]
-    return succ
 
 
 @dataclass(frozen=True)
@@ -392,10 +366,9 @@ class RealizabilityContext:
         """Rotations of one component hosting all its required pairs.
 
         Entries are (succ, faces), one per face vertex-set family.  Trees
-        and simple 3-connected components have one family and take one
-        rotation: a tree every vertex's darts in increasing order, built
-        directly (any rotation of a tree is plane), a 3-connected component
-        the LR one.  Any other component takes
+        and simple 3-connected components have one plane embedding up to
+        mirror image, so one family, and take the one rotation of
+        :func:`~uncrossed.planarity.forced_rotation`.  Any other component takes
         :func:`~uncrossed.planarity.hosting_rotations`, which walks its
         partial plane embeddings and keeps, per family, the system that
         the reference product ``planar_rotations_of_component(...,
@@ -418,16 +391,7 @@ class RealizabilityContext:
         out = None
         if tree or (len(edges) == len(g.skeleton(edges)) and _three_connected(g, vertices, edges)):
             if self._visit():
-                if tree:
-                    at = {v: [] for v in vertices}
-                    for d in sorted(2 * e + k for e in edges for k in (0, 1)):
-                        at[g.edges[d >> 1][d & 1]].append(d)
-                    succ = [0] * (2 * g.m)
-                    for ds in at.values():
-                        for d, nxt in zip(ds, ds[1:] + ds[:1]):
-                            succ[d] = nxt
-                else:
-                    succ = _single_lr_rotation(g, vertices, edges)
+                succ = forced_rotation(g, vertices, edges)
                 faces = component_faces(g, vertices, edges, succ)
                 hosted = all(any(u in verts and v in verts for _, verts in faces) for u, v in within)
                 out = [(succ, faces)] if hosted else []

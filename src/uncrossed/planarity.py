@@ -3,11 +3,14 @@
 The planarity verdict comes from the iterative left-right kernel in
 ``_lrtest``, the outerplanarity verdict from a 2-reduction over vertices of
 degree at most two (``skeleton_outerplanar``); networkx only supplies the
-embeddings and Kuratowski witnesses of ``is_planar`` and the single rotation
-of ``covers._single_lr_rotation``.
+embeddings and Kuratowski witnesses of ``is_planar`` and the one rotation of
+a simple 3-connected component (``forced_rotation``).
 Everything combinatorial on top of them (rotation systems, face walks,
 nesting of components, exhaustive embedding enumeration, and the walk over
-partial plane embeddings that realizability queries use) lives here.
+partial plane embeddings that realizability queries use) lives here.  A
+rotation system is written either as per-vertex dart cycles or as a
+``succ`` list mapping each dart to the next dart at its vertex; ``succ_of``
+turns the first into the second.
 
 Darts: edge e contributes darts ``2e`` (incident at ``endpoints(e)[0]``) and
 ``2e+1`` (at ``endpoints(e)[1]``); ``d ^ 1`` is the opposite dart.  A face
@@ -214,7 +217,41 @@ def rotation_from_succ(g: WeightedMultigraph, vertices, edges, succ) -> dict[int
     return rotation
 
 
-def _orbit_walks(darts: list[int], succ: dict[int, int]) -> list[tuple[int, ...]]:
+def succ_of(cycles, size: int) -> list[int]:
+    """The ``succ`` list of length ``size`` of a rotation given as dart
+    cycles; 0 at every dart in no cycle."""
+    succ = [0] * size
+    for cycle in cycles:
+        for d, nxt in zip(cycle, cycle[1:] + cycle[:1]):
+            succ[d] = nxt
+    return succ
+
+
+def forced_rotation(g: WeightedMultigraph, vertices, edges) -> list[int]:
+    """The ``succ`` list of the one plane rotation, up to mirror image, of a
+    tree or of a simple 3-connected component (Whitney, 1932).
+
+    A tree takes every vertex's darts in increasing order (any rotation of
+    a tree is plane); anything else takes networkx's LR embedding.
+    """
+    at = _darts_at(g, vertices, edges)
+    if len(edges) == len(vertices) - 1:
+        return succ_of(map(sorted, at.values()), 2 * g.m)
+    dart_to = {}  # (v, w) -> the dart at v of the edge vw
+    h = nx.Graph()
+    h.add_nodes_from(vertices)
+    for e in edges:
+        u, v, _ = g.edges[e]
+        h.add_edge(u, v)
+        dart_to[u, v], dart_to[v, u] = 2 * e, 2 * e + 1
+    ok, cert = nx.check_planarity(h, counterexample=False)
+    if not ok:
+        raise AssertionError("forced_rotation() called on a nonplanar component")
+    order = cert.get_data()
+    return succ_of(([dart_to[v, w] for w in order.get(v, [])] for v in vertices), 2 * g.m)
+
+
+def _orbit_walks(darts: list[int], succ: list[int]) -> list[tuple[int, ...]]:
     """Orbits of d -> succ[d ^ 1], i.e. the face walks of a rotation.  With
     ``darts`` sorted, each walk starts at its least dart."""
     seen: set[int] = set()
@@ -295,7 +332,7 @@ def component_faces(
     g: WeightedMultigraph,
     vertices: tuple[int, ...],
     edges: tuple[int, ...],
-    succ: dict[int, int],
+    succ: list[int],
 ) -> list[tuple[tuple[int, ...], frozenset[int]]]:
     """Face walks of one component's rotation, with their vertex sets."""
     if not edges:
@@ -303,7 +340,7 @@ def component_faces(
     return _faces(g, sorted(2 * e + k for e in edges for k in (0, 1)), succ)
 
 
-def _faces(g: WeightedMultigraph, darts: list[int], succ) -> list:
+def _faces(g: WeightedMultigraph, darts: list[int], succ: list[int]) -> list:
     """:func:`component_faces` of the component with these sorted darts."""
     walks = sorted(_orbit_walks(darts, succ))
     return [(walk, frozenset(dart_vertex(g, d) for d in walk)) for walk in walks]
@@ -496,14 +533,8 @@ def hosting_rotations(g: WeightedMultigraph, vertices, edges, within, visit):
         k += 1
         options[k] = corners(k)
 
-    out = []
-    for key in sorted(best.values()):
-        rot = [0] * size
-        for cycle in key:
-            for i, d in enumerate(cycle):
-                rot[d] = cycle[i + 1 - len(cycle)]
-        out.append((rot, _faces(g, darts, rot)))
-    return out
+    rotations = [succ_of(key, size) for key in sorted(best.values())]
+    return [(rot, _faces(g, darts, rot)) for rot in rotations]
 
 
 def _nx_incidence_graph(g: WeightedMultigraph) -> nx.Graph:
@@ -554,15 +585,6 @@ def faces(embedding: Embedding) -> tuple[Face, ...]:
     return embedding.faces
 
 
-def _rotation_to_succ(rotation: tuple[tuple[int, ...], ...]) -> dict[int, int]:
-    succ: dict[int, int] = {}
-    for cycle in rotation:
-        k = len(cycle)
-        for i, d in enumerate(cycle):
-            succ[d] = cycle[(i + 1) % k]
-    return succ
-
-
 def build_embedding(
     g: WeightedMultigraph,
     rotation: tuple[tuple[int, ...], ...],
@@ -578,7 +600,7 @@ def build_embedding(
     component side by side with its first face outward.
     """
     comps = components_of(g)
-    succ = _rotation_to_succ(rotation)
+    succ = succ_of(rotation, 2 * g.m)
     local: list[list[tuple[tuple[int, ...], frozenset[int]]]] = []
     for vs, es in comps:
         faces_c = component_faces(g, vs, es, succ)
@@ -669,12 +691,12 @@ def enumerate_embeddings(g: WeightedMultigraph, max_edges: int = DEFAULT_EDGE_CA
             for v, cycle in cycles.items():
                 rotation[v] = cycle
         rotation_t = tuple(rotation)
-        succ = _rotation_to_succ(rotation_t)
+        succ = succ_of(rotation_t, 2 * g.m)
         local = [component_faces(g, vs, es, succ) for vs, es in comps]
         # the mirror image: each local face maps to the mirrored face that
         # walks its first dart backwards (an isolated vertex's face to itself)
         rotation_r = _reflect_rotation(rotation_t)
-        succ_r = _rotation_to_succ(rotation_r)
+        succ_r = succ_of(rotation_r, 2 * g.m)
         image = []
         for (vs, es), lf in zip(comps, local):
             where = {
