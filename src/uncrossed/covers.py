@@ -72,7 +72,8 @@ _ANSWER = {"yes": True, "no": False, "unknown": None}
 
 
 def _three_connected(g: WeightedMultigraph, vertices, edges) -> bool:
-    """No separator of size <= 2; brute force over vertex pairs."""
+    """No separator of size <= 2: at least four vertices, and G - a is
+    connected without a cut vertex for every vertex a."""
     if len(vertices) < 4:
         return False
     adj = {v: [] for v in vertices}
@@ -80,22 +81,38 @@ def _three_connected(g: WeightedMultigraph, vertices, edges) -> bool:
         u, v, _ = g.edges[e]
         adj[u].append(v)
         adj[v].append(u)
-    vs = list(vertices)
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            a, b = vs[i], vs[j]
-            start = next(v for v in vs if v != a and v != b)
-            seen = {a, b, start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            if len(seen) != len(vs):
-                return False
-    return True
+    return all(_biconnected_without(adj, a) for a in vertices)
+
+
+def _biconnected_without(adj, a) -> bool:
+    """Whether the graph ``adj`` minus the vertex ``a`` is connected and has
+    no cut vertex, by one iterative lowpoint DFS (Hopcroft & Tarjan, 1973):
+    a non-root v is a cut vertex iff some child's subtree reaches no vertex
+    found before v, and the root iff it has two children."""
+    root = next(v for v in adj if v != a)
+    found = {a: -1, root: 0}  # discovery index; a is never entered
+    low = {root: 0}
+    stack = [(root, iter(adj[root]))]
+    root_children = 0
+    while stack:
+        v, rest = stack[-1]
+        for w in rest:
+            if w not in found:
+                found[w] = low[w] = len(found) - 1
+                stack.append((w, iter(adj[w])))
+                break
+            if w != a and found[w] < low[v]:
+                low[v] = found[w]
+        else:
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                if parent == root:
+                    root_children += 1
+                elif low[v] >= found[parent]:
+                    return False
+                low[parent] = min(low[parent], low[v])
+    return root_children == 1 and len(found) == len(adj)
 
 
 @dataclass(frozen=True)

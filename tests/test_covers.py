@@ -722,3 +722,82 @@ def test_walk_past_the_rotation_budget_is_unknown(monkeypatch):
         res = search.minimum()
         assert search.unknowns > 0
         assert (res.status, res.value, res.lower_bound) == ("exact", 2, 2)
+
+
+# -- 3-connectivity ---------------------------------------------------------------
+
+
+def _three_connected_brute(g, vertices, edges) -> bool:
+    """The slow reference: at least four vertices, and no vertex pair whose
+    removal disconnects the rest (one DFS per pair)."""
+    if len(vertices) < 4:
+        return False
+    adj = {v: [] for v in vertices}
+    for e in edges:
+        u, v, _ = g.edges[e]
+        adj[u].append(v)
+        adj[v].append(u)
+    for a, b in itertools.combinations(vertices, 2):
+        start = next(v for v in vertices if v not in (a, b))
+        seen = {a, b, start}
+        stack = [start]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if len(seen) != len(vertices):
+            return False
+    return True
+
+
+def _wheel(k):
+    rim = [(v, v % k + 1) for v in range(1, k + 1)]
+    return graph_from_edges(k + 1, [(0, v) for v in range(1, k + 1)] + rim)
+
+
+def _named_three_connectivity_cases():
+    two_k4s = [(u, v) for u, v in itertools.combinations(range(4), 2)]
+    two_k4s += [(u + 2, v + 2) for u, v in two_k4s]  # share the 2-cut {2, 3}
+    yield graph_from_edges(6, two_k4s)
+    yield graph_from_edges(7, [(u, v) for u, v in two_k4s] + [(5, 6)])  # a pendant edge
+    yield complete(4)
+    yield complete(5)
+    yield complete_bipartite(3, 3)
+    yield complete_bipartite(2, 4)  # 3-regular on one side only: a 2-cut
+    yield cycle(5)
+    for k in range(3, 9):
+        yield _wheel(k)
+    yield graph_from_edges(8, [(u, u | bit) for u in range(8) for bit in (1, 2, 4) if not u & bit])
+    yield graph_from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)])  # a cut vertex
+    yield graph_from_edges(6, list(itertools.combinations(range(3), 2)) + [(3, 4), (4, 5), (5, 3)])
+
+
+def test_three_connected_matches_the_pairwise_brute_force():
+    rng = random.Random(29)
+    cases = list(_named_three_connectivity_cases())
+    for _ in range(1500):
+        n = rng.randint(4, 9)
+        pairs = list(itertools.combinations(range(n), 2))
+        density = rng.random()
+        edges = [p for p in pairs if rng.random() < density]
+        edges += rng.choices(edges, k=rng.randint(0, 2)) if edges else []  # parallel copies
+        cases.append(graph_from_edges(n, edges))
+    verdicts = Counter()
+    for g in cases:
+        vertices = tuple(rng.sample(range(g.n), g.n))
+        want = _three_connected_brute(g, vertices, range(g.m))
+        assert covers._three_connected(g, vertices, range(g.m)) == want, g.edges
+        verdicts[want] += 1
+    assert min(verdicts.values()) > 100  # both verdicts are well exercised
+
+
+def test_unc_of_a_large_wheel_is_one_within_a_second():
+    # W300 is planar and 3-connected: one forced rotation, and the 3-connectivity
+    # test takes one lowpoint DFS per vertex instead of one DFS per vertex pair
+    g = _wheel(300)
+    start = time.perf_counter()
+    res = uncrossed_number(g, SearchBudget(wall_clock_seconds=1))
+    assert time.perf_counter() - start < 1
+    assert (res.status, res.value) == ("exact", 1)
+    assert certificate_is_valid(g, res.certificates[0])
