@@ -44,15 +44,20 @@ from .core import (
     BudgetExhausted,
     PreconditionError,
     SearchBudget,
+    DrawingWitness,
     Ticker,
     WeightedMultigraph,
+    chord_drawing,
+    planarize,
 )
 from .planarity import (
     Embedding,
     build_embedding,
     component_faces,
     components_of,
+    dart_vertex,
     forced_rotation,
+    graph_planar,
     hosting_rotations,
     rotation_from_succ,
     skeleton_outerplanar,
@@ -138,8 +143,11 @@ class RealizabilityResult:
 def certificate_is_valid(g: WeightedMultigraph, cert: UncrossedSetCertificate) -> bool:
     """Independent check of an uncrossed-set certificate.
 
-    ``edge_subset`` must be sorted, distinct edge ids of g, and the
-    embedding must be of the spanning subgraph they keep.
+    ``edge_subset`` must be sorted, distinct edge ids of g, the embedding
+    must be of the spanning subgraph they keep, every other edge must be
+    hosted on a face holding both its ends, and the
+    :func:`certificate_drawing` must be plane.  The last test does not trust
+    the faces: a drawing that planarizes leaves ``edge_subset`` uncrossed.
     """
     s = set(cert.edge_subset)
     kept = list(cert.edge_subset)
@@ -153,7 +161,26 @@ def certificate_is_valid(g: WeightedMultigraph, cert: UncrossedSetCertificate) -
         u, v, _ = g.edges[eid]
         if eid not in hosted or not {u, v} <= face_verts.get(hosted[eid], frozenset()):
             return False
-    return True
+    return graph_planar(planarize(g, certificate_drawing(g, cert)))
+
+
+def certificate_drawing(g: WeightedMultigraph, cert: UncrossedSetCertificate) -> DrawingWitness:
+    """The drawing a certificate describes: its embedding as-is, and every
+    hosted edge a chord of its face, whose boundary (the walks' vertices,
+    then the other vertices placed in it) is laid out in convex position
+    (:func:`~uncrossed.core.chord_drawing`).  Chords cross exactly when their
+    ends interleave, so the drawing of a true certificate is plane."""
+    sub = cert.embedding.graph
+    face_seq: dict[int, list[int]] = {}
+    for f in cert.embedding.faces:
+        seq = [dart_vertex(sub, d) for walk in f.walks for d in walk]
+        face_seq[f.id] = seq + sorted(f.vertices - set(seq))
+    chords: dict[int, list] = {}
+    for eid, fid in cert.hosting:
+        seq = face_seq[fid]
+        u, v, _ = g.edges[eid]
+        chords.setdefault(fid, []).append((eid, seq.index(u), seq.index(v)))
+    return chord_drawing(g, chords.values())
 
 
 def _refine(mat: list[list[int]], colour: list[int]) -> list[int]:

@@ -26,7 +26,6 @@ from .core import (
     Ticker,
     WeightedMultigraph,
     WitnessStructureError,
-    chord_drawing,
     make_drawing,
     planarize,
     subdivide,
@@ -37,9 +36,10 @@ from .covers import (
     RealizabilityContext,
     RealizabilityResult,
     UncrossedSetCertificate,
+    certificate_drawing,
     realizable_uncrossed_set,
 )
-from .planarity import dart_vertex, graph_planar, skeleton_planar
+from .planarity import graph_planar, skeleton_planar
 
 __all__ = [
     "SearchBudget",
@@ -500,38 +500,13 @@ def uncrossed_number(g: WeightedMultigraph, budget: SearchBudget = NO_BUDGET) ->
 def collection_from_certificates(
     g: WeightedMultigraph, certificates
 ) -> CollectionWitness:
-    """Turn uncrossed-set certificates covering E(G) into explicit drawings.
-
-    Each certificate's embedding is drawn as-is; every hosted edge becomes a
-    chord of its hosting face, with the face boundary laid out in convex
-    position (:func:`~uncrossed.core.chord_drawing`), so chords cross
-    exactly when their endpoints interleave and the planarization is planar
-    by construction.  The result is not cost-optimal, only a valid
-    uncrossed collection.
+    """Turn uncrossed-set certificates covering E(G) into explicit drawings,
+    one :func:`~uncrossed.covers.certificate_drawing` each.  The result is
+    not cost-optimal, only a valid uncrossed collection.
     """
     if not certificates:  # edgeless graph: one crossing-free drawing
         return _trivial_planar_witness(g)
-    drawings = []
-    for cert in certificates:
-        emb = cert.embedding
-        sub = emb.graph
-        # boundary sequence per face: walk vertices then floating vertices
-        face_seq: dict[int, list[int]] = {}
-        for f in emb.faces:
-            seq: list[int] = []
-            for walk in f.walks:
-                seq.extend(dart_vertex(sub, d) for d in walk)
-            for v in sorted(f.vertices):
-                if v not in seq:
-                    seq.append(v)
-            face_seq[f.id] = seq
-        chords: dict[int, list] = {}
-        for eid, fid in cert.hosting:
-            seq = face_seq[fid]
-            u, v, _ = g.edges[eid]
-            chords.setdefault(fid, []).append((eid, seq.index(u), seq.index(v)))
-        drawings.append(chord_drawing(g, chords.values()))
-    return _verified_collection(g, drawings)
+    return _verified_collection(g, [certificate_drawing(g, cert) for cert in certificates])
 
 
 # ---------------------------------------------------------------------------

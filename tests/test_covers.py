@@ -18,15 +18,18 @@ from uncrossed.covers import (
     CoverSearch,
     PairColours,
     RealizabilityContext,
+    UncrossedSetCertificate,
     certificate_is_valid,
     dense_first_order,
     realizable_uncrossed_set,
 )
 from uncrossed.instances import complete, complete_bipartite
 from uncrossed.planarity import (
+    Face,
     component_faces,
     enumerate_embeddings,
     graph_planar,
+    is_planar,
     planar_rotations_of_component,
     skeleton_outerplanar,
 )
@@ -112,6 +115,34 @@ def test_certificates_with_bad_hosting_are_rejected(k5):
     lacking = next(f.id for f in cert.embedding.faces if not {u, v} <= f.vertices)
     moved = ((eid, lacking), *cert.hosting[1:])
     assert not certificate_is_valid(k5, dataclasses.replace(cert, hosting=moved))
+
+
+def test_certificate_with_forged_faces_is_rejected(k5):
+    # K5 minus (2, 4) and (3, 4) is not realizable; an embedding of it whose
+    # faces are replaced by one face holding all five vertices hosts both
+    # edges on paper, but the drawing it describes does not planarize
+    s = tuple(range(8))
+    assert [k5.edges[e][:2] for e in (8, 9)] == [(2, 4), (3, 4)]
+    assert realizable_uncrossed_set(k5, s).status == "no"
+    emb = is_planar(k5.spanning_subgraph(s)).embedding
+    face = Face(0, emb.faces[0].walks, frozenset(range(5)))
+    forged = UncrossedSetCertificate(
+        edge_subset=s,
+        embedding=dataclasses.replace(emb, faces=(face,)),
+        hosting=((8, 0), (9, 0)),
+    )
+    assert not certificate_is_valid(k5, forged)
+
+
+def test_solver_certificates_pass_the_drawing_check(k7):
+    # every certificate the solver makes describes a plane drawing: every
+    # graph on at most six vertices, K7, and K5 with a doubled edge
+    doubled = WeightedMultigraph(5, complete(5).edges + ((0, 2, 1),))
+    graphs = [g for g in atlas_graphs(6) if g.m] + [k7, doubled]
+    for g in graphs:
+        res = uncrossed_number(g)
+        assert res.status == "exact"
+        assert all(certificate_is_valid(g, cert) for cert in res.certificates), g.edges
 
 
 def test_shown_face_other_than_first():
