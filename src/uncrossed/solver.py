@@ -119,8 +119,6 @@ class _DrawingSearch:
     def __init__(self, g: WeightedMultigraph, budget: SearchBudget):
         self.g = g
         self.ticker = Ticker(budget)
-        # every drawing of the nonplanar G crosses at least this much
-        self.floor = max(1, _euler_count_lb(g))
         # the independent pairs of edges, in lexicographic order, and their costs
         self.pair_cost = {
             (e, f): g.weight(e) * g.weight(f)
@@ -128,6 +126,10 @@ class _DrawingSearch:
             for f in range(e + 1, g.m)
             if g.independent(e, f)
         }
+        # every cost is a multiple of step, and every drawing of the
+        # nonplanar G crosses at least floor, a multiple of step too
+        self.step = math.gcd(*self.pair_cost.values()) or 1
+        self.floor = -(-max(1, _euler_count_lb(g)) // self.step) * self.step
         # per edge, its cheapest pair; inf for an edge in no pair
         self.cheapest_pair = [math.inf] * g.m
         for pair, cost in self.pair_cost.items():
@@ -231,8 +233,8 @@ class _DrawingSearch:
     def _event_sets(self, avoid: frozenset, limit: int):
         """Every planarizable event set of cost <= limit not touching
         avoid, as (cost, events, orders, touched edges), lazily, in (cost,
-        sorted events) order: the cost layers from :attr:`floor` up, each
-        walked depth first in lexicographic order.
+        sorted events) order: the cost layers from :attr:`floor` up, by
+        :attr:`step`, each walked depth first in lexicographic order.
 
         A planarizable set is not extended: a superset costs more (weights
         are >= 1) and crosses more edges, so no least plan holds one.  Such
@@ -262,7 +264,7 @@ class _DrawingSearch:
                 if c2 <= layer:
                     yield from walk(j + 1, chosen + (allowed[j],), c2)
 
-        for layer in range(lb, limit + 1):
+        for layer in range(lb, limit + 1, self.step):
             self.layer = layer
             yield from walk(0, (), 0)
 
@@ -289,10 +291,10 @@ class _DrawingSearch:
     def least_plan(self, max_drawings: int, limit: int | None = None):
         """Least plan covering E(G) with <= max_drawings drawings, by cost.
 
-        Deepens :attr:`level` from twice :attr:`floor` (a nonplanar G needs
-        two drawings, each crossing) and returns the first :meth:`cover`
-        found, or None once the level passes ``limit``.  Every level below
-        :attr:`level` has no plan, so it is the proven lower bound.
+        Deepens :attr:`level` by :attr:`step` from twice :attr:`floor` (a
+        nonplanar G needs two drawings, each crossing) and returns the first
+        :meth:`cover` found, or None once the level passes ``limit``.  Every
+        level below :attr:`level` has no plan, so it is the proven lower bound.
         """
         everything = frozenset(range(self.g.m))
         self.level = 2 * self.floor
@@ -301,7 +303,7 @@ class _DrawingSearch:
             got = self.cover(everything, max_drawings, self.level)
             if got is not None:
                 return got
-            self.level += 1
+            self.level += self.step
         return None
 
     def cover(self, uncovered: frozenset, c_left: int, k_left: int):

@@ -300,6 +300,32 @@ def test_ucr_heavy_cycle_closed_form(m, budget, seed):
     assert verify_collection(g, res.witness).accepted
 
 
+@pytest.mark.parametrize("t", [1, 2, 7, 30, 100])
+@pytest.mark.parametrize(
+    "name, g, ucr, ounc, cr",
+    [
+        # ucr = 2 cr for K5 and K3,3; the heavy cycle by its closed form, and
+        # cr 2 with two diameters on each side of the uncrossed rim
+        ("k5", complete(5), 2, 2, 1),
+        ("k33", complete_bipartite(3, 3), 2, 2, 1),
+        ("hc4", heavy_cycle_with_diameters(4), 12, 4, 2),
+    ],
+)
+def test_scaling_every_weight_scales_ucr_and_cr(name, g, ucr, ounc, cr, t):
+    # every pair cost is t^2 times larger, so the searches step their cost
+    # levels by t^2 and every answer keeps its witness; at t = 30 the K5 took
+    # 10.9 s when the levels stepped by 1
+    scaled = WeightedMultigraph(g.n, tuple((u, v, w * t) for u, v, w in g.edges))
+    base = uncrossed_crossing_number(g)
+    res = uncrossed_crossing_number(scaled, SearchBudget(wall_clock_seconds=1))
+    assert (res.status, res.ucr, res.ounc) == ("exact", t * t * ucr, ounc)
+    assert res.witness.drawings == base.witness.drawings
+    assert verify_collection(scaled, res.witness).accepted
+    drawing = crossing_number(scaled, SearchBudget(wall_clock_seconds=1))
+    assert (drawing.status, drawing.value) == ("exact", t * t * cr)
+    assert drawing.witness == crossing_number(g).witness
+
+
 def test_ucr_two_light_family():
     for m in (3, 4):
         g = k5_with_two_light_edges(m)
