@@ -60,6 +60,25 @@ def test_every_import_is_used():
         assert imported - read - exported == set(), path.name
 
 
+def test_only_planarity_instances_and_render_import_networkx():
+    # planarity for embeddings and Kuratowski witnesses, instances for max
+    # flow, render for layout; every other module works on dart ids alone
+    package = pathlib.Path(uncrossed.__file__).parent
+    importers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "networkx" for name in names):
+                importers.add(path.stem)
+    assert importers <= {"planarity", "instances", "render"}
+    assert "planarity" in importers
+
+
 def test_no_module_sets_the_recursion_limit():
     # the limit is process-global state: a search deeper than it ends unknown
     package = pathlib.Path(uncrossed.__file__).parent
