@@ -42,9 +42,9 @@ from dataclasses import dataclass
 from .core import (
     NO_BUDGET,
     BudgetExhausted,
+    DrawingWitness,
     PreconditionError,
     SearchBudget,
-    DrawingWitness,
     Ticker,
     WeightedMultigraph,
     chord_drawing,
