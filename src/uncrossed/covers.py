@@ -144,22 +144,21 @@ def certificate_is_valid(g: WeightedMultigraph, cert: UncrossedSetCertificate) -
     """Independent check of an uncrossed-set certificate.
 
     ``edge_subset`` must be sorted, distinct edge ids of g, the embedding
-    must be of the spanning subgraph they keep, every other edge must be
-    hosted on a face holding both its ends, and the
+    must be of the spanning subgraph they keep, every other edge, and only
+    those, must be hosted once, on a face holding both its ends, and the
     :func:`certificate_drawing` must be plane.  The last test does not trust
-    the faces: a drawing that planarizes leaves ``edge_subset`` uncrossed.
+    the faces: a plane drawing whose chords are the hosted edges leaves
+    ``edge_subset`` uncrossed.
     """
     s = set(cert.edge_subset)
     kept = list(cert.edge_subset)
     if kept != sorted(s & set(range(g.m))) or cert.embedding.graph != g.spanning_subgraph(kept):
         return False
-    hosted = dict(cert.hosting)
+    if sorted(eid for eid, _ in cert.hosting) != sorted(set(range(g.m)) - s):
+        return False
     face_verts = {f.id: f.vertices for f in cert.embedding.faces}
-    for eid in range(g.m):
-        if eid in s:
-            continue
-        u, v, _ = g.edges[eid]
-        if eid not in hosted or not {u, v} <= face_verts.get(hosted[eid], frozenset()):
+    for eid, fid in cert.hosting:
+        if not set(g.endpoints(eid)) <= face_verts.get(fid, frozenset()):
             return False
     return graph_planar(planarize(g, certificate_drawing(g, cert)))
 

@@ -234,9 +234,8 @@ def forced_rotation(g: WeightedMultigraph, vertices, edges) -> list[int]:
     A tree takes every vertex's darts in increasing order (any rotation of
     a tree is plane); anything else takes networkx's LR embedding.
     """
-    at = _darts_at(g, vertices, edges)
     if len(edges) == len(vertices) - 1:
-        return succ_of(map(sorted, at.values()), 2 * g.m)
+        return succ_of(map(sorted, _darts_at(g, vertices, edges).values()), 2 * g.m)
     dart_to = {}  # (v, w) -> the dart at v of the edge vw
     h = nx.Graph()
     h.add_nodes_from(vertices)

@@ -72,6 +72,12 @@ def cycle(n: int) -> WeightedMultigraph:
     return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def wheel(k: int) -> WeightedMultigraph:
+    """W_k: the hub 0 joined to every vertex of the rim cycle 1..k."""
+    rim = [(v, v % k + 1) for v in range(1, k + 1)]
+    return graph_from_edges(k + 1, [(0, v) for v in range(1, k + 1)] + rim)
+
+
 def edge_id_map(g: WeightedMultigraph) -> dict:
     return {(u, v): eid for eid, (u, v, _) in enumerate(g.edges)}
 

@@ -35,7 +35,7 @@ from uncrossed.planarity import (
 )
 from uncrossed.solver import SearchBudget, uncrossed_number
 
-from conftest import atlas_graphs, cycle, edge_id_map, run_python
+from conftest import atlas_graphs, cycle, edge_id_map, run_python, wheel
 
 
 def hosting_oracle(g, s):
@@ -132,6 +132,10 @@ def test_certificate_with_forged_faces_is_rejected(k5):
         hosting=((8, 0), (9, 0)),
     )
     assert not certificate_is_valid(k5, forged)
+    # hosting the kept edge (0, 3) as a chord too makes the drawing plane,
+    # with (0, 3) crossed; a hosted edge must not be hosted twice either
+    assert not certificate_is_valid(k5, dataclasses.replace(forged, hosting=((2, 0), *forged.hosting)))
+    assert not certificate_is_valid(k5, dataclasses.replace(forged, hosting=((8, 0), *forged.hosting)))
 
 
 def test_solver_certificates_pass_the_drawing_check():
@@ -782,11 +786,6 @@ def _three_connected_brute(g, vertices, edges) -> bool:
     return True
 
 
-def _wheel(k):
-    rim = [(v, v % k + 1) for v in range(1, k + 1)]
-    return graph_from_edges(k + 1, [(0, v) for v in range(1, k + 1)] + rim)
-
-
 def _named_three_connectivity_cases():
     two_k4s = [(u, v) for u, v in itertools.combinations(range(4), 2)]
     two_k4s += [(u + 2, v + 2) for u, v in two_k4s]  # share the 2-cut {2, 3}
@@ -798,7 +797,7 @@ def _named_three_connectivity_cases():
     yield complete_bipartite(2, 4)  # 3-regular on one side only: a 2-cut
     yield cycle(5)
     for k in range(3, 9):
-        yield _wheel(k)
+        yield wheel(k)
     yield graph_from_edges(8, [(u, u | bit) for u in range(8) for bit in (1, 2, 4) if not u & bit])
     yield graph_from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)])  # a cut vertex
     yield graph_from_edges(6, list(itertools.combinations(range(3), 2)) + [(3, 4), (4, 5), (5, 3)])
@@ -826,7 +825,7 @@ def test_three_connected_matches_the_pairwise_brute_force():
 def test_unc_of_a_large_wheel_is_one_within_a_second():
     # W300 is planar and 3-connected: one forced rotation, and the 3-connectivity
     # test takes one lowpoint DFS per vertex instead of one DFS per vertex pair
-    g = _wheel(300)
+    g = wheel(300)
     start = time.perf_counter()
     res = uncrossed_number(g, SearchBudget(wall_clock_seconds=1))
     assert time.perf_counter() - start < 1

@@ -25,7 +25,7 @@ from uncrossed.planarity import (
     skeleton_outerplanar,
 )
 
-from conftest import atlas_graphs, brute_planar, cycle, edge_id_map, run_python
+from conftest import atlas_graphs, brute_planar, cycle, edge_id_map, run_python, wheel
 
 
 def test_k4_planar(k4):
@@ -251,17 +251,12 @@ def test_enumerate_embeddings_counts(triangle):
     assert len(list(enumerate_embeddings(two_k4s))) == 112
 
 
-def _wheel(k):
-    rim = [(v, v % k + 1) for v in range(1, k + 1)]
-    return graph_from_edges(k + 1, [(0, v) for v in range(1, k + 1)] + rim)
-
-
 @pytest.mark.parametrize("k", range(4, 8))
 def test_a_wheel_has_one_embedding_per_outer_face(k):
     # W_k is 3-connected, so it has one embedding up to mirror image
     # (Whitney); the embeddings differ only in their outer face, of which
     # it has k + 1
-    assert len(list(enumerate_embeddings(_wheel(k)))) == k + 1
+    assert len(list(enumerate_embeddings(wheel(k)))) == k + 1
 
 
 @pytest.mark.parametrize("q", range(3, 7))
