@@ -145,7 +145,8 @@ def certificate_is_valid(g: WeightedMultigraph, cert: UncrossedSetCertificate) -
 
     ``edge_subset`` must be sorted, distinct edge ids of g, the embedding
     must be of the spanning subgraph they keep, every other edge, and only
-    those, must be hosted once, on a face holding both its ends, and the
+    those, must be hosted once, on a face holding both its ends, the face
+    walks may hold darts of kept edges only, and the
     :func:`certificate_drawing` must be plane.  The last test does not trust
     the faces: a plane drawing whose chords are the hosted edges leaves
     ``edge_subset`` uncrossed.
@@ -160,6 +161,9 @@ def certificate_is_valid(g: WeightedMultigraph, cert: UncrossedSetCertificate) -
     for eid, fid in cert.hosting:
         if not set(g.endpoints(eid)) <= face_verts.get(fid, frozenset()):
             return False
+    walks = [walk for f in cert.embedding.faces for walk in f.walks]
+    if not all(0 <= d < 2 * len(kept) for walk in walks for d in walk):
+        return False
     return graph_planar(planarize(g, certificate_drawing(g, cert)))
 
 

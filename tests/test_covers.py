@@ -136,6 +136,10 @@ def test_certificate_with_forged_faces_is_rejected(k5):
     # with (0, 3) crossed; a hosted edge must not be hosted twice either
     assert not certificate_is_valid(k5, dataclasses.replace(forged, hosting=((2, 0), *forged.hosting)))
     assert not certificate_is_valid(k5, dataclasses.replace(forged, hosting=((8, 0), *forged.hosting)))
+    # and a walk may only hold darts of the kept edges
+    face = Face(0, ((*emb.faces[0].walks[0], 16),), frozenset(range(5)))
+    forged = dataclasses.replace(forged, embedding=dataclasses.replace(emb, faces=(face,)))
+    assert not certificate_is_valid(k5, forged)
 
 
 def test_solver_certificates_pass_the_drawing_check():
@@ -787,14 +791,14 @@ def _three_connected_brute(g, vertices, edges) -> bool:
 
 
 def _named_three_connectivity_cases():
-    two_k4s = [(u, v) for u, v in itertools.combinations(range(4), 2)]
+    two_k4s = list(itertools.combinations(range(4), 2))
     two_k4s += [(u + 2, v + 2) for u, v in two_k4s]  # share the 2-cut {2, 3}
     yield graph_from_edges(6, two_k4s)
-    yield graph_from_edges(7, [(u, v) for u, v in two_k4s] + [(5, 6)])  # a pendant edge
+    yield graph_from_edges(7, two_k4s + [(5, 6)])  # a pendant edge
     yield complete(4)
     yield complete(5)
     yield complete_bipartite(3, 3)
-    yield complete_bipartite(2, 4)  # 3-regular on one side only: a 2-cut
+    yield complete_bipartite(2, 4)  # its two hubs are a 2-cut
     yield cycle(5)
     for k in range(3, 9):
         yield wheel(k)
