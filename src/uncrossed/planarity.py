@@ -292,7 +292,7 @@ def planar_rotations_of_component(
     """
     at_vertex = _darts_at(g, vertices, edges)
     if not edges:
-        yield {}
+        yield [0] * (2 * g.m)
         return
 
     anchor = next((v for v in vertices if len(at_vertex[v]) >= 3), None)

@@ -311,7 +311,7 @@ def _reference_rotations(g, vertices, edges, half):
     """Every genus-zero rotation system of one component, by brute force:
     the full product of per-vertex cycles, each leaf traced completely."""
     if not edges:
-        return [{}]
+        return [[0] * (2 * g.m)]
     darts = {v: [] for v in vertices}
     for e in edges:
         u, v = g.endpoints(e)
@@ -373,10 +373,8 @@ def test_pruned_rotations_match_full_product(g, half):
             with pytest.raises(ResourceExceededError):
                 next(planar_rotations_of_component(g, vs, es, rotation_cap=cap, half=half))
             continue
-        got = [
-            list(s) if es else s
-            for s in planar_rotations_of_component(g, vs, es, rotation_cap=size, half=half)
-        ]
+        rotations = planar_rotations_of_component(g, vs, es, rotation_cap=size, half=half)
+        got = [list(s) for s in rotations]
         assert got == _reference_rotations(g, vs, es, half)
         if es:
             with pytest.raises(ResourceExceededError):
