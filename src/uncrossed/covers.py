@@ -186,25 +186,50 @@ def certificate_drawing(g: WeightedMultigraph, cert: UncrossedSetCertificate) ->
     return chord_drawing(g, chords.values())
 
 
-def _refine(mat: list[list[int]], colour: list[int]) -> list[int]:
-    """Split vertex colours by their multiset of (pair colour, colour of the
-    other vertex) until the number of colours stops growing or every
-    vertex has its own.
+def _refine(mat: list[list[int]], cells: list[list[int]]) -> list[list[int]]:
+    """Split cells in rounds by their members' sorted rows of (pair colour +
+    colour of the other vertex), until a round splits none or every vertex
+    has its own.
 
-    Pair colours are multiples of n and vertex colours are below n, so each
-    sum names one such combination.  New colours are ranks of sorted
-    signatures, so an isomorphism of the pair matrices keeps colours.
+    A vertex's colour is its cell's index; pair colours are multiples of n,
+    so each sum names one such combination.  A round splits every cell but
+    singletons by the colours it started with, into sub-cells in sorted-row
+    order that keep the cell's member order.  So cell indices are the ranks
+    of (colour, sorted row), which an isomorphism of the pair matrices keeps.
     """
-    count = len(set(colour))
-    while count < len(colour):
-        sigs = [(c, *sorted(map(operator.add, row, colour))) for c, row in zip(colour, mat)]
-        distinct = sorted(set(sigs))
-        if len(distinct) == count:
+    n = len(mat)
+    while len(cells) < n:
+        colour = [0] * n
+        for c, cell in enumerate(cells):
+            for v in cell:
+                colour[v] = c
+        split = []
+        for cell in cells:
+            if len(cell) == 1:
+                split.append(cell)
+                continue
+            rows: dict[tuple, list[int]] = {}
+            for v in cell:
+                rows.setdefault(tuple(sorted(map(operator.add, mat[v], colour))), []).append(v)
+            split.extend(rows[row] for row in sorted(rows))
+        if len(split) == len(cells):
             break
-        rank = {sig: i for i, sig in enumerate(distinct)}
-        colour = [rank[sig] for sig in sigs]
-        count = len(distinct)
-    return colour
+        cells = split
+    return cells
+
+
+def _twins(mat: list[list[int]], cell: list[int]) -> bool:
+    """Whether every two members of ``cell`` have equal rows outside their
+    own two positions, so every permutation of the cell keeps ``mat``.
+    As ``mat`` is symmetric, testing each member against the first is enough.
+    """
+    first, *rest = cell
+    for v in rest:
+        row = mat[v][:]
+        row[first], row[v] = row[v], row[first]
+        if row != mat[first]:
+            return False
+    return True
 
 
 class PairColours:
@@ -237,9 +262,9 @@ class PairColours:
         if g.n <= 256:
             self.matrix = [[0] * g.n for _ in range(g.n)]  # 0: no edge joins the pair
             self.matrix = self._recoloured(dict.fromkeys(self._pair_edges, 0))
-            self.colour = _refine(self.matrix, [0] * g.n)
+            self.cells = _refine(self.matrix, [list(range(g.n))])
             # refinement separating every vertex means Aut(G) is trivial
-            self._symmetric = len(set(self.colour)) < g.n
+            self._symmetric = len(self.cells) < g.n
 
     def _recoloured(self, marks: dict[tuple[int, int], int]) -> list[list[int]]:
         """A copy of :attr:`matrix` recoloured at each pair of ``marks``,
@@ -265,28 +290,36 @@ class PairColours:
         labellings.
 
         Vertex colours are refined from G's until they stop splitting; the
-        minimum runs over every labelling that keeps the cells in order.
+        minimum runs over every labelling that keeps the cells in order.  A
+        discrete refinement is read off as it is.  A cell of twins
+        (:func:`_twins`) keeps only its own order: every permutation of it
+        maps the labelled G onto itself, and its own order comes first.
         """
+        return self._labelled(labels.items())
+
+    def _labelled(self, labelled) -> tuple[tuple, tuple] | None:
+        """:meth:`form` of G with the (edge, label) pairs of ``labelled``."""
         if not self._symmetric:
             return None
         marks: dict[tuple[int, int], int] = {}
-        for e, label in labels.items():
+        for e, label in labelled:
             pair = self._pair_of[e]
             marks[pair] = marks.get(pair, 0) + label * self._place[e]
         mat = self._recoloured(marks)
-        colour = _refine(mat, self.colour)
-        cells: list[list[int]] = [[] for _ in range(max(colour) + 1)]
-        for v, c in enumerate(colour):
-            cells[c].append(v)
-        if math.prod(math.factorial(len(cell)) for cell in cells) > MAX_LABELLINGS:
-            return None
+        cells = _refine(mat, self.cells)
 
         def code(labelling) -> tuple:
             pick = operator.itemgetter(*itertools.chain.from_iterable(labelling))
             return tuple(map(pick, pick(mat)))
 
-        labellings = itertools.product(*map(itertools.permutations, cells))
-        order = tuple(itertools.chain.from_iterable(min(labellings, key=code)))
+        if len(cells) < len(mat):
+            if math.prod(math.factorial(len(cell)) for cell in cells) > MAX_LABELLINGS:
+                return None
+            free = [len(cell) > 1 and not _twins(mat, cell) for cell in cells]
+            if any(free):
+                perms = [itertools.permutations(c) if f else (c,) for c, f in zip(cells, free)]
+                cells = min(itertools.product(*perms), key=code)
+        order = tuple(itertools.chain.from_iterable(cells))
         return code((order,)), order
 
     def partition_key(self, parts) -> tuple | None:
@@ -302,7 +335,7 @@ class PairColours:
         forms = []
         for order in itertools.product(*map(itertools.permutations, groups)):
             numbered = enumerate(itertools.chain.from_iterable(order), 1)
-            found = self.form({e: label for label, part in numbered for e in part})
+            found = self._labelled((e, label) for label, part in numbered for e in part)
             if found is None:
                 return None
             forms.append(found[0])
@@ -334,6 +367,8 @@ class RealizabilityContext:
         # (parent form, positions of the added edge's ends in the parent's
         # order, its weight) -> (child form, child order as parent positions)
         self.steps: dict[tuple, tuple] = {}
+        # each edge's place in the order CoverSearch places edges in
+        self.placed_at = {e: i for i, e in enumerate(dense_first_order(g))}
 
     def feasible(self, part: frozenset[int]) -> bool | None:
         """Realizability of ``part`` as True, False or None (unknown).
@@ -364,10 +399,12 @@ class RealizabilityContext:
         one form differ by an automorphism of G carrying one parent onto the
         other.  It carries an edge added at the same order positions, with
         the same weight, onto the other's, so both children have one form,
-        and the image of one child's order reads it off the other.
+        and the image of one child's order reads it off the other.  Edges
+        are tried last-placed first, so a part :class:`CoverSearch` grew
+        finds its parent at once.
         """
         parent_order = step = None
-        for e in part:
+        for e in sorted(part, key=self.placed_at.__getitem__, reverse=True):
             parent = self.known.get(part - {e})
             if parent is not None:
                 parent_form, parent_order = parent
